@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from math import gcd
 from pathlib import Path
 
 from .errors import Error, FormatError
@@ -122,17 +123,23 @@ def _cmd_encrypt(args) -> int:
     return 0
 
 
+def _parse_cyclic_cipher(text: str, pk) -> cyclic.CyclicCiphertext:
+    """One decimal line holding a unit in 1..n-1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise FormatError("cyclic ciphertext files hold one decimal line") from None
+    if not 0 < value < pk.n or gcd(value, pk.n) != 1:
+        raise FormatError(f"ciphertext {value} is not a unit in 1..n-1")
+    return cyclic.CyclicCiphertext(value)
+
+
 def _cmd_decrypt(args) -> int:
     kind, pk = _sniff_pk(args.pk)
     sk = _load_sk(args.sk, kind, pk)
     text = _read(args.cipher).strip()
     if kind == "cyclic":
-        try:
-            value = int(text)
-        except ValueError:
-            raise FormatError("cyclic ciphertext files hold one decimal line") from None
-        plain = cyclic.decrypt_cyclic(sk, pk, cyclic.CyclicCiphertext(value))
-        print(plain)
+        print(cyclic.decrypt_cyclic(sk, pk, _parse_cyclic_cipher(text, pk)))
     else:
         word = parse_gword(text, pk.family)
         h = general.decrypt_general(sk, pk, GeneralCiphertext(word))
@@ -144,8 +151,8 @@ def _cmd_hommul(args) -> int:
     kind, pk = _sniff_pk(args.pk)
     t1, t2 = _read(args.cipher1).strip(), _read(args.cipher2).strip()
     if kind == "cyclic":
-        c = cyclic.mult_ciphertexts(pk, cyclic.CyclicCiphertext(int(t1)),
-                                    cyclic.CyclicCiphertext(int(t2)))
+        c = cyclic.mult_ciphertexts(pk, _parse_cyclic_cipher(t1, pk),
+                                    _parse_cyclic_cipher(t2, pk))
         _write_or_print(f"{c.value}\n", args.out)
     else:
         product = general.mult_ciphertexts_general(
@@ -327,3 +334,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

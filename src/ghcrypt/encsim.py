@@ -114,16 +114,19 @@ def eval_encrypted(ep: EncryptedProgram, bits) -> GeneralCiphertext:
     return GeneralCiphertext(acc)
 
 
-def decrypt_output(sk: GeneralSecretKey, pk: GeneralPublicKey,
-                   g: GeneralCiphertext, target: GroupElement) -> int:
-    """1 when g decrypts to the target, 0 on the identity, error otherwise."""
-    h = decrypt_general(sk, pk, g)
+def _output_bit(h: GroupElement, target: GroupElement) -> int:
     if h.index == target.index:
         return 1
-    if h.index == pk.group.identity:
+    if h.index == h.group.identity:
         return 0
     raise UnexpectedValue(
         f"decryption gave {h.label!r}, expected identity or {target.label!r}")
+
+
+def decrypt_output(sk: GeneralSecretKey, pk: GeneralPublicKey,
+                   g: GeneralCiphertext, target: GroupElement) -> int:
+    """1 when g decrypts to the target, 0 on the identity, error otherwise."""
+    return _output_bit(decrypt_general(sk, pk, g), target)
 
 
 def format_encrypted_program(ep: EncryptedProgram) -> str:
@@ -396,7 +399,7 @@ class CircuitAlice:
             raise Error("result requested before the program was sent")
         word = parse_gword(word_text.strip(), self.pk.family)
         h = decrypt_general(self.sk, self.pk, GeneralCiphertext(word))
-        bit = decrypt_output(self.sk, self.pk, GeneralCiphertext(word), self._target)
+        bit = _output_bit(h, self._target)
         return f"bit: {bit}\nfg: {h.index}\n", bit
 
 

@@ -11,8 +11,8 @@ Two epimorphisms are implemented on top of the words:
 * ``phi_map`` sends each letter to its coset index in the factor (this
   needs the factor trapdoors) and lands in a free product of cyclic
   groups, represented by :class:`KWord`;
-* ``psi_map`` collapses a KWord to a group element by rewriting its
-  leading pair against the defining relations of the target group.
+* ``psi_map`` evaluates a KWord in the target group: a left fold that
+  multiplies in each run's power of its letter.
 
 Membership of a word in the kernel of ``phi`` carries a *witness*: a word
 over non-kernel letters and preimage letters, built from the empty word by
@@ -287,25 +287,18 @@ def phi_map(g: GWord, *, family: FactorFamily | None = None,
 
 
 def psi_map(k: KWord, H: FiniteGroup) -> GroupElement:
-    """Collapse a KWord (letters indexing H) to its element of H.
+    """Evaluate a KWord (letters indexing H) to its element of H.
 
-    Repeatedly rewrites the leading letter pair x1 x2 against a defining
-    relation of H: a cancelling pair is dropped, a repeated letter run or a
-    cross-subgroup pair contracts through the relation x1*x2*(x1*x2)^-1,
-    and a pair with x2 a power of x1 contracts after expanding x2 into
-    repetitions of x1.  Every case replaces the pair by the single letter
-    x1*x2 evaluated in H, shrinking the word until at most one letter is
-    left.  A plain fold over the multiplication table serves as the test
-    oracle for this procedure.
+    A left fold over the runs: each run (x, e) multiplies the running
+    product by x**e in H, so the cost is linear in the length of the word.
+    Every letter must name a nonidentity element of H.
     """
-    word = list(k.letters)
-    for x in word:
-        if not 0 < x < H.order:
-            raise ValueError(f"letter {x} does not index a nonidentity element")
-    while len(word) >= 2:
-        z = H.mul(word[0], word[1])
-        word[:2] = [z] if z != H.identity else []
-    return H.element(word[0] if word else H.identity)
+    acc = H.identity
+    for symbol, exponent, _ in k.runs:
+        if not 0 < symbol < H.order:
+            raise ValueError(f"letter {symbol} does not index a nonidentity element")
+        acc = H.mul(acc, H.power(symbol, exponent))
+    return H.element(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +496,10 @@ def parse_gword(text: str, family: FactorFamily) -> GWord:
         if not sep:
             raise FormatError(f"bad word token {token!r}")
         try:
-            raw.append((int(factor_str), int(value_str)))
+            factor, value = int(factor_str), int(value_str)
         except ValueError:
             raise FormatError(f"bad word token {token!r}") from None
+        if not 1 <= factor <= family.count:
+            raise FormatError(f"factor {factor} out of range 1..{family.count}")
+        raw.append((factor, value))
     return normalize(family, raw)

@@ -1,11 +1,12 @@
 """Homomorphic cryptosystem over an arbitrary finite nonidentity group H.
 
-For cyclic H a single residue cryptosystem of order |H| is used directly
-(ciphertexts are words of at most one letter over one factor).  Otherwise
-one residue cryptosystem is generated per nonidentity element h_i of H,
-with plaintext order equal to the order of h_i, and ciphertexts are
-normal-form words over the resulting factor family.  Decryption composes
-the factor-wise coset map with the relation rewriting of ``psi_map``.
+The key picks generators of H and one residue cryptosystem per generator,
+with plaintext order equal to the generator's order: a single generator of
+order |H| when H is cyclic, otherwise every nonidentity element.  Each
+element of H is a power of one generator, and its public representative is
+the matching transversal letter of that factor.  Ciphertexts are
+normal-form words over the factor family; decryption sends each letter to
+its coset (``phi_map``) and folds the image in H (``psi_map``).
 """
 
 from __future__ import annotations
@@ -18,18 +19,14 @@ from .errors import Error, FormatError
 from .groupcore import FiniteGroup, GroupElement, format_group, parse_group
 from .numtheory import ExhaustedRetries
 from .cyclic import (
-    CyclicCiphertext,
     CyclicPublicKey,
     CyclicSecretKey,
-    decrypt_cyclic,
-    inverse_P_cyclic,
     keygen_cyclic,
     random_unit,
 )
 from .freeprod import (
     FactorFamily,
     GWord,
-    PhiLetter,
     PhiWitness,
     PsiLetter,
     PsiWitness,
@@ -81,53 +78,39 @@ class GeneralPublicKey:
     """Public key: the plaintext group, its generator list, and one residue
     cryptosystem per generator.
 
-    ``generators`` holds element indices of H.  For non-cyclic H it is all
-    of 1..|H|-1 (factor i encrypts powers of element i); for cyclic H it is
-    a single generator whose exponents carry the whole group.
+    ``generators`` holds element indices of H; factor i encrypts the powers
+    of ``generators[i-1]``.  For non-cyclic H it is all of 1..|H|-1; for
+    cyclic H it is a single generator whose exponents carry the whole group.
     """
 
     group: FiniteGroup
     generators: tuple[int, ...]
     family: FactorFamily = field(compare=False)
 
-    @property
-    def cyclic_mode(self) -> bool:
-        return len(self.generators) == 1
-
     @cached_property
-    def _power_index(self) -> tuple[int, ...]:
-        # cyclic mode: element index of g*^e for each exponent e
-        g = self.generators[0]
-        out, acc = [0], g
-        while acc != 0:
-            out.append(acc)
-            acc = self.group.mul(acc, g)
-        return tuple(out)
-
-    @cached_property
-    def _dlog(self) -> dict[int, int]:
-        return {el: e for e, el in enumerate(self._power_index)}
-
-    @cached_property
-    def _generator_position(self) -> dict[int, int]:
-        return {el: i + 1 for i, el in enumerate(self.generators)}
+    def coordinates(self) -> dict[int, tuple[int, int]]:
+        """Element index -> (factor, exponent) with the element equal to
+        ``generators[factor-1] ** exponent``, the exponent least possible."""
+        H = self.group
+        table = {H.identity: (1, 0)}
+        for factor, g in enumerate(self.generators, start=1):
+            el, e = g, 1
+            while el != H.identity:
+                if el not in table or table[el][1] > e:
+                    table[el] = (factor, e)
+                el, e = H.mul(el, g), e + 1
+        return table
 
     def transversal_word(self, element_index: int) -> GWord:
         """The public coset representative word for an element of H."""
-        if element_index == 0:
+        try:
+            factor, e = self.coordinates[element_index]
+        except KeyError:
+            raise ValueError(f"element {element_index} unknown to the key") from None
+        if not e:
             return empty_word(self.family)
-        if self.cyclic_mode:
-            e = self._dlog.get(element_index)
-            if e is None:
-                raise ValueError(f"element {element_index} unknown to the key")
-            return normalize(self.family,
-                             [(1, self.family.public(1).transversal[e])],
-                             validate=False)
-        i = self._generator_position.get(element_index)
-        if i is None:
-            raise ValueError(f"element {element_index} unknown to the key")
         return normalize(self.family,
-                         [(i, self.family.public(i).transversal[1])],
+                         [(factor, self.family.public(factor).transversal[e])],
                          validate=False)
 
 
@@ -149,6 +132,11 @@ def secret_family(pk: GeneralPublicKey, sk: GeneralSecretKey) -> FactorFamily:
     return pk.family.with_secrets(sk.factors)
 
 
+def _require_key_family(pk: GeneralPublicKey, word: GWord) -> None:
+    if word.family.factors != pk.family.factors:
+        raise MalformedWord("word does not match the key")
+
+
 def _cyclic_generator(H: FiniteGroup) -> int | None:
     for i in range(1, H.order):
         if H.order_of(i) == H.order:
@@ -166,17 +154,13 @@ def keygen_general(H: FiniteGroup, bits: int, rng: random.Random
     if H.order < 2:
         raise IdentityGroup("the plaintext group must have at least 2 elements")
     generator = _cyclic_generator(H)
-    if generator is not None:
-        pk1, sk1 = keygen_cyclic(H.order, bits, rng)
-        pk = GeneralPublicKey(H, (generator,), FactorFamily((pk1,)))
-        return pk, GeneralSecretKey((sk1,))
+    generators = tuple(range(1, H.order)) if generator is None else (generator,)
     publics: list[CyclicPublicKey] = []
     secrets: list[CyclicSecretKey] = []
     used: set[int] = set()
-    for i in range(1, H.order):
-        m_i = H.order_of(i)
+    for g in generators:
         for _ in range(64):
-            pk_i, sk_i = keygen_cyclic(m_i, bits, rng)
+            pk_i, sk_i = keygen_cyclic(H.order_of(g), bits, rng)
             if pk_i.n not in used:
                 break
         else:
@@ -184,7 +168,7 @@ def keygen_general(H: FiniteGroup, bits: int, rng: random.Random
         used.add(pk_i.n)
         publics.append(pk_i)
         secrets.append(sk_i)
-    pk = GeneralPublicKey(H, tuple(range(1, H.order)), FactorFamily(tuple(publics)))
+    pk = GeneralPublicKey(H, generators, FactorFamily(tuple(publics)))
     return pk, GeneralSecretKey(tuple(secrets))
 
 
@@ -199,24 +183,19 @@ def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
     evaluated pair always maps to the identity of H.
     """
     H = pk.group
-    if pk.cyclic_mode:
-        if phi_steps == 0:
-            return PhiWitness((), 0), PsiWitness(())
-        a = random_unit(pk.family.public(1).n, rng)
-        return PhiWitness((PhiLetter(1, a, True),), 1), PsiWitness(())
     steps = 2 * H.order if phi_steps is None else phi_steps
     length = H.order if psi_length is None else psi_length
     a = random_phi_witness(pk.family, steps, rng)
     letters: list[PsiLetter] = []
     acc = H.identity
     for _ in range(length):
-        i = rng.randrange(1, H.order)
+        i = rng.randrange(1, pk.family.count + 1)
         e = rng.randrange(pk.family.order(i))
         letters.append(PsiLetter(i, e))
-        acc = H.mul(acc, H.power(i, e))
+        acc = H.mul(acc, H.power(pk.generators[i - 1], e))
     closing = H.inverse(acc)
     if closing != H.identity:
-        letters.append(PsiLetter(closing, 1))
+        letters.append(PsiLetter(*pk.coordinates[closing]))
     return a, PsiWitness(tuple(letters))
 
 
@@ -231,13 +210,14 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
     """
     if h.group is not pk.group:
         raise ValueError("plaintext element belongs to a different group")
-    if pk.cyclic_mode:
+    if pk.family.count == 1:
+        # One factor: the kernel is the group of m-th powers, so a fresh a^m
+        # is the whole random kernel word.  sample_A/combined_P would reach
+        # the same kind of word with a Jacobi check of a^m and extra
+        # normalize passes, several times the cost of this product.
         fpk = pk.family.public(1)
-        e = pk._dlog[h.index]
-        if phi_steps == 0 and psi_length == 0:
-            a = 1
-        else:
-            a = random_unit(fpk.n, rng)
+        _, e = pk.coordinates[h.index]
+        a = 1 if phi_steps == 0 and psi_length == 0 else random_unit(fpk.n, rng)
         value = pow(a, fpk.m, fpk.n) * (fpk.transversal[e] if e else 1) % fpk.n
         return GeneralCiphertext(normalize(pk.family, [(1, value)], validate=False))
     wa, wb = sample_A(pk, rng, phi_steps=phi_steps, psi_length=psi_length)
@@ -248,19 +228,8 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
 def decrypt_general(sk: GeneralSecretKey, pk: GeneralPublicKey,
                     c: GeneralCiphertext) -> GroupElement:
     """Evaluate the trapdoor epimorphism on a ciphertext word."""
-    word = c.word
-    if word.family.factors != pk.family.factors:
-        raise MalformedWord("ciphertext word does not match the key")
-    fam = secret_family(pk, sk)
-    if pk.cyclic_mode:
-        if len(word) > 1:
-            raise MalformedWord("single-factor ciphertexts have at most one letter")
-        if not word.letters:
-            return pk.group.element(0)
-        e = decrypt_cyclic(sk.factors[0], pk.family.public(1),
-                           CyclicCiphertext(word.letters[0].value))
-        return pk.group.element(pk._power_index[e])
-    k = phi_map(word, family=fam, symbols=pk.generators)
+    _require_key_family(pk, c.word)
+    k = phi_map(c.word, family=secret_family(pk, sk), symbols=pk.generators)
     return psi_map(k, pk.group)
 
 
@@ -277,30 +246,25 @@ def inverse_P_general(sk: GeneralSecretKey, pk: GeneralPublicKey, g: GWord,
 
     On success ``combined_P`` maps the returned pair back to g.
     """
+    _require_key_family(pk, g)
     fam = secret_family(pk, sk)
-    if pk.cyclic_mode:
-        if len(g) > 1:
-            raise MalformedWord("single-factor words have at most one letter")
-        if not g.letters:
-            return PhiWitness((), 0), PsiWitness(())
-        value = g.letters[0].value
-        root = inverse_P_cyclic(sk.factors[0], pk.family.public(1), value, rng)
-        if root is None:
+    r = PsiWitness(())
+    # psi is injective on one factor, so a word of at most one letter is in
+    # the kernel exactly when inverse_p_phi finds a root for its letter
+    if len(g) > 1:
+        k = phi_map(g, family=fam, symbols=pk.generators)
+        if psi_map(k, pk.group).index != pk.group.identity:
             return None
-        return PhiWitness((PhiLetter(1, root, True),), 1), PsiWitness(())
-    k = phi_map(g, family=fam, symbols=pk.generators)
-    if psi_map(k, pk.group).index != pk.group.identity:
-        return None
-    # lift the image word to transversal letters, one per run
-    position = pk._generator_position
-    r_letters = tuple(PsiLetter(position[symbol], exponent)
-                      for symbol, exponent, _ in k.runs)
-    r_word = p_psi(fam, PsiWitness(r_letters))
-    kernel_part = g_multiply(GWord(fam, g.letters), g_inverse(r_word))
+        # lift the image word to transversal letters, one per run
+        r = PsiWitness(tuple(PsiLetter(pk.coordinates[symbol][0], exponent)
+                             for symbol, exponent, _ in k.runs))
+    kernel_part = g_multiply(GWord(fam, g.letters), g_inverse(p_psi(fam, r)))
     witness, tail = inverse_p_phi(kernel_part, trapdoor_oracles(fam, rng))
-    if not tail.is_identity:
-        raise Error("internal inversion failure: residual non-kernel word")
-    return witness, PsiWitness(r_letters)
+    if tail.is_identity:
+        return witness, r
+    if len(g) <= 1:
+        return None
+    raise Error("internal inversion failure: residual non-kernel word")
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +330,7 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
             f"expected 1 or {group.order - 1} factors, found {len(factors)}")
     pk = GeneralPublicKey(group, generators, FactorFamily(tuple(factors)))
     for i, gen in enumerate(generators, start=1):
-        expected_order = group.order if pk.cyclic_mode else group.order_of(gen)
-        if pk.family.order(i) != expected_order:
+        if pk.family.order(i) != group.order_of(gen):
             raise FormatError(f"factor {i} order does not match its generator")
     if idx >= len(lines) or lines[idx] != "TRANSVERSAL":
         raise FormatError("missing TRANSVERSAL section")

@@ -27,10 +27,7 @@ __all__ = [
     "sym",
     "cyclic_group",
     "builtin_group",
-    "element_order",
     "is_solvable",
-    "commutator",
-    "cyclic_subgroup",
     "parse_group",
     "format_group",
     "parse_permutation",
@@ -241,31 +238,6 @@ def builtin_group(spec: str) -> FiniteGroup | None:
     if match:
         return sym(int(match.group(1)))
     return None
-
-
-def element_order(g: GroupElement) -> int:
-    """Least k >= 1 with g**k equal to the identity."""
-    return g.group.order_of(g.index)
-
-
-def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
-    """a * b * a^-1 * b^-1."""
-    if a.group is not b.group:
-        raise ValueError("elements belong to different groups")
-    G = a.group
-    x = G.mul(G.mul(a.index, b.index), G.mul(G.inverse(a.index), G.inverse(b.index)))
-    return GroupElement(G, x)
-
-
-def cyclic_subgroup(g: GroupElement) -> list[GroupElement]:
-    """[identity, g, g**2, ...] up to the order of g."""
-    G = g.group
-    out = [GroupElement(G, 0)]
-    acc = g.index
-    while acc != 0:
-        out.append(GroupElement(G, acc))
-        acc = G.mul(acc, g.index)
-    return out
 
 
 def _subgroup_closure(G: FiniteGroup, seed: set[int]) -> frozenset[int]:

@@ -18,7 +18,6 @@ __all__ = [
     "NotCoprime",
     "ExhaustedRetries",
     "gcd",
-    "mod_pow",
     "mod_inverse",
     "jacobi",
     "is_probable_prime",
@@ -44,15 +43,6 @@ class NotCoprime(Error):
 
 class ExhaustedRetries(Error):
     """A bounded random search ran out of attempts."""
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """Return ``base ** exponent mod modulus`` for a nonnegative exponent."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base % modulus, exponent, modulus)
 
 
 def mod_inverse(a: int, modulus: int) -> int:

@@ -231,3 +231,49 @@ class TestExitCodes:
         rc, _, err = run(capsys, "encrypt", "--pk", str(bad), "--plain", "1",
                          "--seed", "1")
         assert rc == 1
+
+    def test_out_of_range_factor_in_word(self, sym3_dir, tmp_path, capsys):
+        c = tmp_path / "c.txt"
+        c.write_text("9:5\n")
+        rc, _, err = run(capsys, "decrypt", "--sk", str(sym3_dir / "sk.txt"),
+                         "--pk", str(sym3_dir / "pk.txt"), "--cipher", str(c))
+        assert rc == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_bad_cyclic_hommul_operands(self, z3_keys, tmp_path, capsys):
+        pk = z3_keys / "pk.txt"
+        n = int(pk.read_text().split("n:")[1].split()[0])
+        p = int((z3_keys / "sk.txt").read_text().split("p:")[1].split()[0])
+        good = tmp_path / "good"
+        run(capsys, "encrypt", "--pk", str(pk), "--plain", "1", "--seed", "g",
+            "--out", str(good))
+        for text in ("abc", "0", str(n), str(n + 1), str(p)):
+            bad = tmp_path / "bad"
+            bad.write_text(text + "\n")
+            out = tmp_path / "out"
+            rc, _, err = run(capsys, "hommul", "--pk", str(pk), str(good),
+                             str(bad), "--out", str(out))
+            assert rc == 1 and err.startswith("error:"), text
+            assert "Traceback" not in err
+            assert not out.exists()
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m ghcrypt.cli`` runs the command, as ``ghcrypt`` does."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "k"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghcrypt.cli", "keygen", "--group", "z3",
+         "--bits", "8", "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "pk.txt").read_text().startswith("GHC-CYCLIC-PK v1\n")
+    proc = subprocess.run([sys.executable, "-m", "ghcrypt.cli", "--bogus"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2

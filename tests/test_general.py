@@ -30,13 +30,11 @@ class TestKeygen:
 
     def test_z2_is_single_factor(self):
         pk, sk = keygen_general(cyclic_group(2), 8, random.Random(1))
-        assert pk.cyclic_mode
         assert pk.family.count == 1
         assert pk.family.order(1) == 2
 
     def test_sym3_factor_orders(self, sym3_keys):
         pk, sk = sym3_keys
-        assert not pk.cyclic_mode
         assert pk.family.count == 5
         orders = sorted(pk.family.order(i) for i in range(1, 6))
         assert orders == [2, 2, 2, 3, 3]
@@ -49,7 +47,7 @@ class TestKeygen:
     def test_cyclic_table_group_delegates(self):
         # a cyclic group presented as a table still gets the one-factor key
         pk, sk = keygen_general(cyclic_group(4), 8, random.Random(5))
-        assert pk.cyclic_mode
+        assert pk.family.count == 1
         assert pk.family.order(1) == 4
 
     @pytest.mark.parametrize("m,bits", [(2, 8), (3, 8), (2, 16), (3, 16)])
@@ -106,7 +104,7 @@ class TestEncryptDecrypt:
         with pytest.raises(ValueError):
             encrypt_general(pk, other, random.Random(0))
 
-    def test_cyclic_mode_word_shape(self, z6_keys):
+    def test_one_factor_word_shape(self, z6_keys):
         pk, sk = z6_keys
         rng = random.Random(9)
         c = encrypt_general(pk, pk.group.element(3), rng)
@@ -164,15 +162,15 @@ class TestSampleA:
         a, b = sample_A(pk, random.Random(1), phi_steps=0, psi_length=1)
         assert len(b) in (1, 2)  # second letter cancels the image if needed
 
-    def test_pairs_map_into_kernel(self, sym3_keys):
-        pk, sk = sym3_keys
-        fam = secret_family(pk, sk)
-        rng = random.Random(4)
-        for _ in range(40):
-            a, b = sample_A(pk, rng, phi_steps=3, psi_length=2)
-            word = combined_P(fam, a, b)
-            k = phi_map(word, family=fam, symbols=pk.generators)
-            assert psi_map(k, pk.group).index == 0
+    def test_pairs_map_into_kernel(self, sym3_keys, z6_keys):
+        for pk, sk in (sym3_keys, z6_keys):
+            fam = secret_family(pk, sk)
+            rng = random.Random(4)
+            for _ in range(40):
+                a, b = sample_A(pk, rng, phi_steps=3, psi_length=2)
+                word = combined_P(fam, a, b)
+                k = phi_map(word, family=fam, symbols=pk.generators)
+                assert psi_map(k, pk.group).index == 0
 
 
 class TestInverseP:
@@ -204,7 +202,7 @@ class TestInverseP:
         word = pk.transversal_word(2)
         assert inverse_P_general(sk, pk, word, random.Random(0)) is None
 
-    def test_cyclic_mode(self, z6_keys):
+    def test_one_factor_key(self, z6_keys):
         pk, sk = z6_keys
         fam = secret_family(pk, sk)
         rng = random.Random(15)
@@ -215,6 +213,19 @@ class TestInverseP:
         assert combined_P(fam, a, b) == c.word
         ch = encrypt_general(pk, pk.group.element(2), rng)
         assert inverse_P_general(sk, pk, ch.word, rng) is None
+
+    @pytest.mark.parametrize("fixture,other", [("sym3_keys", "z6_keys"),
+                                               ("z6_keys", "sym3_keys")])
+    def test_foreign_word_rejected(self, fixture, other, request):
+        pk, sk = request.getfixturevalue(fixture)
+        pk_other, _ = request.getfixturevalue(other)
+        rng = random.Random(6)
+        one_letter = pk_other.transversal_word(1)
+        encrypted = encrypt_general(pk_other, pk_other.group.element(1), rng)
+        assert len(one_letter) == 1
+        for word in (one_letter, encrypted.word):
+            with pytest.raises(MalformedWord):
+                inverse_P_general(sk, pk, word, rng)
 
     def test_factor_membership_agrees_with_trapdoor(self, sym3_keys):
         # deciding one-letter kernel membership through the full inversion

@@ -12,10 +12,7 @@ from ghcrypt.groupcore import (
     NotLatinSquare,
     TooLarge,
     builtin_group,
-    commutator,
     cyclic_group,
-    cyclic_subgroup,
-    element_order,
     format_group,
     group_from_table,
     is_solvable,
@@ -141,17 +138,22 @@ class TestSym:
                 parse_permutation(bad, 5)
 
 
+def commutator(a, b):
+    """a * b * a^-1 * b^-1 from GroupElement products."""
+    return a * b * a.inverse() * b.inverse()
+
+
 class TestElementOps:
     def test_element_order(self):
-        s5 = sym(5)
-        assert element_order(s5.element(0)) == 1
-        assert element_order(sym(3).element_by_label("(1 2)")) == 2
-        assert element_order(s5.element_by_label("(1 2 3 4 5)")) == 5
+        s3, s5 = sym(3), sym(5)
+        assert s5.order_of(0) == 1
+        assert s3.order_of(s3.element_by_label("(1 2)").index) == 2
+        assert s5.order_of(s5.element_by_label("(1 2 3 4 5)").index) == 5
 
     def test_order_divides_group_order(self):
         for G in (sym(3), sym(4), sym(5), cyclic_group(12)):
-            for g in G.elements():
-                assert G.order % element_order(g) == 0
+            for g in range(G.order):
+                assert G.order % G.order_of(g) == 0
 
     def test_commutator_trivial_cases(self):
         s3 = sym(3)
@@ -171,18 +173,19 @@ class TestElementOps:
     def test_five_cycle_commutator_exists(self):
         # brute-force oracle: some pair of 5-cycles has a 5-cycle commutator
         s5 = sym(5)
-        fives = [g for g in s5.elements() if element_order(g) == 5]
+        fives = [g for g in s5.elements() if s5.order_of(g.index) == 5]
         assert any(
-            element_order(commutator(a, b)) == 5
+            s5.order_of(commutator(a, b).index) == 5
             for a in fives for b in fives)
 
     def test_cyclic_subgroup(self):
+        # the powers of g run through order_of(g) distinct elements
         s3 = sym(3)
-        assert [g.index for g in cyclic_subgroup(s3.element(0))] == [0]
-        two = s3.element_by_label("(1 2)")
-        assert len(cyclic_subgroup(two)) == 2
-        three = s3.element_by_label("(1 2 3)")
-        assert len(cyclic_subgroup(three)) == 3
+        for label, order in (("e", 1), ("(1 2)", 2), ("(1 2 3)", 3)):
+            g = s3.element_by_label(label).index
+            powers = {s3.power(g, k) for k in range(s3.order_of(g))}
+            assert len(powers) == order == s3.order_of(g)
+            assert s3.power(g, order) == 0
 
 
 class TestSolvability:

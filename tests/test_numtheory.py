@@ -15,7 +15,6 @@ from ghcrypt.numtheory import (
     is_probable_prime,
     jacobi,
     mod_inverse,
-    mod_pow,
     mth_root_mod_prime,
     mth_roots_of_unity,
     random_prime_congruent,
@@ -49,22 +48,6 @@ def euler_character(a: int, p: int) -> int:
     """Quadratic character oracle for odd primes."""
     r = pow(a % p, (p - 1) // 2, p)
     return 0 if r == 0 else (1 if r == 1 else -1)
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(2, 10, 1000) == 24
-        assert mod_pow(3, 3, 7) == 6  # 27 mod 7
-
-    def test_zero_exponent(self):
-        for x in (1, 2, 6):
-            assert mod_pow(x, 0, 7) == 1
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 7)
 
 
 class TestGcdInverse:
