@@ -15,9 +15,9 @@ m-th powers is decided by one exponentiation mod p and one mod q.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable
 
 from .errors import Error, FormatError
 from .numtheory import (
@@ -52,6 +52,7 @@ __all__ = [
     "mult_ciphertexts",
     "factor_via_inverse_oracle",
     "format_cyclic_pk",
+    "check_cyclic_pk",
     "parse_cyclic_pk",
     "format_cyclic_sk",
     "parse_cyclic_sk",
@@ -373,6 +374,26 @@ def _parse_fields(lines: list[str], header: str, fields: list[str]) -> dict[str,
     return out
 
 
+def check_cyclic_pk(pk: CyclicPublicKey, entries: Iterable[int] | None = None) -> None:
+    """Raise FormatError unless n is odd and the transversal entries are
+    residues 0 < r < n inside the ciphertext group G(n, m).
+
+    ``entries`` names the indices whose group membership is checked here
+    (default: all); a caller that checks the others elsewhere passes the
+    rest, so no entry costs two Jacobi symbols.
+    """
+    n = pk.n
+    if n < 3 or n % 2 == 0:
+        raise FormatError(f"modulus {n} must be odd and at least 3")
+    for r in pk.transversal:
+        if not 0 < r < n:
+            raise FormatError(f"transversal entry {r} is not a residue modulo {n}")
+    for i in range(pk.m) if entries is None else entries:
+        r = pk.transversal[i]
+        if gcd(r, n) != 1 or not in_group_G(pk, r):
+            raise FormatError(f"transversal entry {r} is outside the ciphertext group")
+
+
 def parse_cyclic_pk(text: str) -> CyclicPublicKey:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     fields = _parse_fields(lines, "GHC-CYCLIC-PK v1", ["m", "n", "R"])
@@ -387,9 +408,7 @@ def parse_cyclic_pk(text: str) -> CyclicPublicKey:
     if len(transversal) != m:
         raise FormatError(f"transversal must list {m} elements")
     pk = CyclicPublicKey(m=m, n=n, transversal=transversal)
-    for r in transversal:
-        if not 0 < r < n or gcd(r, n) != 1 or not in_group_G(pk, r):
-            raise FormatError(f"transversal entry {r} is outside the ciphertext group")
+    check_cyclic_pk(pk)
     return pk
 
 

@@ -6,6 +6,19 @@ normal form: adjacent letters always belong to distinct factors, and
 identity letters are never stored, so two words are equal in the group
 exactly when they are equal as sequences.
 
+``normalize`` is the one path for raw letters (parsed text, evaluated
+witnesses, transversal words): one stack pass, linear in the input.  Words
+already in normal form never go through it again.  Their product can only
+merge at the seam, because inside each operand adjacent letters lie in
+distinct factors (the normal form theorem for free products, Lyndon and
+Schupp, *Combinatorial Group Theory*, ch. IV).  So ``g_multiply`` and the
+rotation in ``inverse_p_phi`` walk outwards from the seam while the facing
+letters share a factor: one step per cancelled pair, at most one merged
+letter, and one tuple concatenation.  A product thus costs Python work in
+the seam only; folding k words runs at most one step per cancelled pair
+overall, where re-normalizing each concatenation took one step per letter
+of every partial product (quadratic in the length of the fold).
+
 Two epimorphisms are implemented on top of the words:
 
 * ``phi_map`` sends each letter to its coset index in the factor (this
@@ -25,9 +38,9 @@ the proof system used by the general cryptosystem.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Iterable, Sequence
 
 from .errors import Error, FormatError
 from .groupcore import FiniteGroup, GroupElement
@@ -154,11 +167,11 @@ def empty_word(family: FactorFamily) -> GWord:
     return GWord(family, ())
 
 
-def _check_letter(family: FactorFamily, i: int, v: int) -> None:
-    n = family.modulus(i)
+def _check_letter(pk: CyclicPublicKey, i: int, v: int) -> None:
+    n = pk.n
     if not 0 < v < n or gcd(v, n) != 1:
         raise LetterOutOfGroup(f"{v} is not a unit modulo {n} (factor {i})")
-    if family.order(i) % 2 == 0 and jacobi(v, n) != 1:
+    if pk.m % 2 == 0 and jacobi(v, n) != 1:
         raise LetterOutOfGroup(
             f"{v} has Jacobi symbol -1 modulo {n} (factor {i}, even order)")
 
@@ -170,22 +183,27 @@ def normalize(family: FactorFamily,
 
     Adjacent same-factor letters are multiplied in their factor, identity
     letters are dropped, and newly adjacent pairs are re-merged (a stack
-    pass, so the result is independent of merge order).
+    pass, so the result is independent of merge order).  Every factor
+    index is range-checked; ``validate`` also checks that each value lies
+    in its factor group.
     """
+    factors = family.factors
+    count = len(factors)
     out: list[GLetter] = []
     for item in letters:
         if isinstance(item, GLetter):
             i, v = item.factor, item.value
         else:
             i, v = item
-        family._check_index(i)
-        v %= family.modulus(i)
+        pk = factors[i - 1] if 0 < i <= count else family.public(i)  # raises
+        n = pk.n
+        v %= n
         if validate:
-            _check_letter(family, i, v)
+            _check_letter(pk, i, v)
         if v == 1:
             continue
         if out and out[-1].factor == i:
-            merged = out.pop().value * v % family.modulus(i)
+            merged = out.pop().value * v % n
             if merged != 1:
                 out.append(GLetter(i, merged))
         else:
@@ -198,18 +216,40 @@ def _require_same_family(u: GWord, v: GWord) -> None:
         raise ValueError("words belong to different factor families")
 
 
+def _join(factors: tuple[CyclicPublicKey, ...], left: tuple[GLetter, ...],
+          right: tuple[GLetter, ...]) -> tuple[GLetter, ...]:
+    """Normal form of ``left + right`` for two normal-form letter tuples.
+
+    Only letters facing each other across the seam can merge: a pair with
+    product 1 is dropped and the walk goes on to the next pair, any other
+    product becomes one letter and ends the walk.
+    """
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1].factor == right[j].factor:
+        factor = right[j].factor
+        merged = left[i - 1].value * right[j].value % factors[factor - 1].n
+        i, j = i - 1, j + 1
+        if merged != 1:
+            return left[:i] + (GLetter(factor, merged),) + right[j:]
+    return left[:i] + right[j:]
+
+
 def g_multiply(u: GWord, v: GWord) -> GWord:
-    """Product of two normal-form words (concatenate, then re-merge)."""
+    """Product of two normal-form words.
+
+    Merges only at the seam (see the module docstring): one step per
+    cancelled pair plus one concatenation, never a pass over either word.
+    """
     _require_same_family(u, v)
-    return normalize(u.family, u.letters + v.letters, validate=False)
+    return GWord(u.family, _join(u.family.factors, u.letters, v.letters))
 
 
 def g_inverse(u: GWord) -> GWord:
     """Reverse the word and invert each letter; stays in normal form."""
-    fam = u.family
-    inv = tuple(GLetter(l.factor, mod_inverse(l.value, fam.modulus(l.factor)))
+    factors = u.family.factors
+    inv = tuple(GLetter(l.factor, mod_inverse(l.value, factors[l.factor - 1].n))
                 for l in reversed(u.letters))
-    return GWord(fam, inv)
+    return GWord(u.family, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +317,13 @@ def phi_map(g: GWord, *, family: FactorFamily | None = None,
     fam = family if family is not None else g.family
     if family is not None and family.factors != g.family.factors:
         raise ValueError("family override does not match the word")
+    factors = fam.factors
     runs = []
     for letter in g.letters:
         e = fam.f_value(letter.factor, letter.value)
         if e:
             symbol = symbols[letter.factor - 1] if symbols else letter.factor
-            runs.append((symbol, e, fam.order(letter.factor)))
+            runs.append((symbol, e, factors[letter.factor - 1].m))
     return kword_from_runs(runs)
 
 
@@ -340,13 +381,15 @@ def p_phi(family: FactorFamily, witness: PhiWitness) -> GWord:
     """Evaluate a witness: preimage letters are raised to their factor order,
     plain letters pass through; the result is normalized and lies in the
     kernel of ``phi_map`` by construction."""
+    factors = family.factors
+    count = len(factors)
     raw = []
     for letter in witness.letters:
+        i, v = letter.factor, letter.value
         if letter.is_a0:
-            n_i = family.modulus(letter.factor)
-            raw.append((letter.factor, pow(letter.value, family.order(letter.factor), n_i)))
-        else:
-            raw.append((letter.factor, letter.value))
+            pk = factors[i - 1] if 0 < i <= count else family.public(i)  # raises
+            v = pow(v, pk.m, pk.n)
+        raw.append((i, v))
     return normalize(family, raw)
 
 
@@ -400,9 +443,13 @@ def inverse_p_phi(g: GWord, oracles: Sequence[FactorOracle]) -> tuple[PhiWitness
     the word under ``p_phi``.  Each round scans the current word for its
     first kernel letter, rotates the remaining letters around it and
     recurses; the witness is reassembled by conjugation on the way out.
-    The oracle-call count is at most len(g)**2.
+    The rotation ``letters[idx+1:] + letters[:idx]`` joins two pieces of a
+    normal-form word, so it merges only at their seam, like ``g_multiply``:
+    a round costs its oracle calls plus one copy of the word.  The
+    oracle-call count is at most len(g)**2.
     """
     family = g.family
+    factors = family.factors
     if len(oracles) != family.count:
         raise ValueError("need one oracle per factor")
     frames: list[tuple[tuple[GLetter, ...], int, int]] = []
@@ -415,8 +462,9 @@ def inverse_p_phi(g: GWord, oracles: Sequence[FactorOracle]) -> tuple[PhiWitness
         for idx, letter in enumerate(current.letters):
             root = oracles[letter.factor - 1](letter.value)
             if root is not None:
-                n_i = family.modulus(letter.factor)
-                if pow(root, family.order(letter.factor), n_i) != letter.value % n_i:
+                pk = factors[letter.factor - 1]
+                n_i = pk.n
+                if pow(root, pk.m, n_i) != letter.value % n_i:
                     raise OracleFailure(
                         f"oracle for factor {letter.factor} returned a non-root")
                 found = (idx, letter.factor, root % n_i)
@@ -426,8 +474,8 @@ def inverse_p_phi(g: GWord, oracles: Sequence[FactorOracle]) -> tuple[PhiWitness
             break
         idx, factor_j, root_j = found
         frames.append((current.letters[:idx], factor_j, root_j))
-        rotated = current.letters[idx + 1:] + current.letters[:idx]
-        current = normalize(family, rotated, validate=False)
+        current = GWord(family, _join(factors, current.letters[idx + 1:],
+                                      current.letters[:idx]))
     if not t.is_identity:
         # not a kernel element; the pending frames are discarded unchanged
         return witness, t
@@ -435,7 +483,7 @@ def inverse_p_phi(g: GWord, oracles: Sequence[FactorOracle]) -> tuple[PhiWitness
     depth = witness.depth
     for prefix, factor_j, root_j in reversed(frames):
         pre = [PhiLetter(l.factor, l.value, False) for l in prefix]
-        post = [PhiLetter(l.factor, mod_inverse(l.value, family.modulus(l.factor)), False)
+        post = [PhiLetter(l.factor, mod_inverse(l.value, factors[l.factor - 1].n), False)
                 for l in reversed(prefix)]
         letters = pre + [PhiLetter(factor_j, root_j, True)] + letters + post
         depth += max(len(prefix), 1)
@@ -445,12 +493,15 @@ def inverse_p_phi(g: GWord, oracles: Sequence[FactorOracle]) -> tuple[PhiWitness
 def p_psi(family: FactorFamily, witness: PsiWitness) -> GWord:
     """Evaluate a transversal witness to the normalized product of its
     representatives."""
+    factors = family.factors
+    count = len(factors)
     raw = []
     for letter in witness.letters:
-        pk = family.public(letter.factor)
+        i = letter.factor
+        pk = factors[i - 1] if 0 < i <= count else family.public(i)  # raises
         if not 0 <= letter.index < pk.m:
             raise ValueError(f"transversal index {letter.index} out of range")
-        raw.append((letter.factor, pk.transversal[letter.index]))
+        raw.append((i, pk.transversal[letter.index]))
     return normalize(family, raw, validate=False)
 
 
@@ -459,19 +510,30 @@ def combined_P(family: FactorFamily, a: PhiWitness, b: PsiWitness) -> GWord:
     return g_multiply(p_phi(family, a), p_psi(family, b))
 
 
-def trapdoor_oracles(family: FactorFamily, rng: random.Random) -> list[FactorOracle]:
-    """Honest per-factor inversion oracles built from the trapdoors."""
+class _TrapdoorOracles(Sequence):
+    """Per-factor oracles made on demand: item i-1 is factor i's oracle."""
+
+    def __init__(self, family: FactorFamily, rng: random.Random):
+        self._family, self._rng = family, rng
+
+    def __len__(self) -> int:
+        return self._family.count
+
+    def __getitem__(self, idx: int) -> FactorOracle:
+        pk, sk = self._family.factors[idx], self._family.secrets[idx]
+        rng = self._rng
+        return lambda value: inverse_P_cyclic(sk, pk, value, rng)
+
+
+def trapdoor_oracles(family: FactorFamily, rng: random.Random) -> Sequence[FactorOracle]:
+    """Honest per-factor inversion oracles built from the trapdoors.
+
+    Construction is O(1): a factor's oracle is made when it is indexed, so
+    a word that touches few factors of a large family pays for those only.
+    """
     if family.secrets is None:
         raise MissingTrapdoor("factor secret keys are not available")
-    oracles: list[FactorOracle] = []
-    for i in range(1, family.count + 1):
-        pk, sk = family.public(i), family.secret(i)
-
-        def oracle(value: int, pk: CyclicPublicKey = pk, sk: CyclicSecretKey = sk) -> int | None:
-            return inverse_P_cyclic(sk, pk, value, rng)
-
-        oracles.append(oracle)
-    return oracles
+    return _TrapdoorOracles(family, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +552,7 @@ def parse_gword(text: str, family: FactorFamily) -> GWord:
         raise FormatError("empty word encoding (use 'e' for the identity)")
     if text == "e":
         return empty_word(family)
+    count = family.count
     raw = []
     for token in text.split():
         factor_str, sep, value_str = token.partition(":")
@@ -499,7 +562,7 @@ def parse_gword(text: str, family: FactorFamily) -> GWord:
             factor, value = int(factor_str), int(value_str)
         except ValueError:
             raise FormatError(f"bad word token {token!r}") from None
-        if not 1 <= factor <= family.count:
-            raise FormatError(f"factor {factor} out of range 1..{family.count}")
+        if not 1 <= factor <= count:
+            raise FormatError(f"factor {factor} out of range 1..{count}")
         raw.append((factor, value))
     return normalize(family, raw)

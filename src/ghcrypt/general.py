@@ -21,6 +21,7 @@ from .numtheory import ExhaustedRetries
 from .cyclic import (
     CyclicPublicKey,
     CyclicSecretKey,
+    check_cyclic_pk,
     keygen_cyclic,
     random_unit,
 )
@@ -318,6 +319,8 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
         idx += 1
     if not factors:
         raise FormatError("key lists no factors")
+    if len({f.n for f in factors}) != len(factors):
+        raise FormatError("factor moduli must be distinct")
     if len(factors) == 1:
         generator = _cyclic_generator(group)
         if generator is None:
@@ -332,6 +335,11 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
     for i, gen in enumerate(generators, start=1):
         if pk.family.order(i) != group.order_of(gen):
             raise FormatError(f"factor {i} order does not match its generator")
+    # R[e] of each (factor, e) in coordinates, e >= 1, is a letter of a
+    # TRANSVERSAL word below and is validated when that word is parsed
+    in_words = {(i, e) for i, e in pk.coordinates.values() if e}
+    for i, fpk in enumerate(factors, start=1):
+        check_cyclic_pk(fpk, [e for e in range(fpk.m) if (i, e) not in in_words])
     if idx >= len(lines) or lines[idx] != "TRANSVERSAL":
         raise FormatError("missing TRANSVERSAL section")
     entries = lines[idx + 1:]

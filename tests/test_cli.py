@@ -240,6 +240,32 @@ class TestExitCodes:
         assert rc == 1 and err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_general_key_entry_outside_group(self, sym3_dir, tmp_path, capsys):
+        # R[0] of an order-2 factor with Jacobi symbol -1
+        from dataclasses import replace
+        from math import gcd
+
+        from ghcrypt.freeprod import FactorFamily
+        from ghcrypt.general import (GeneralPublicKey, format_general_pk,
+                                     parse_general_pk)
+        from ghcrypt.numtheory import jacobi
+
+        pk = parse_general_pk((sym3_dir / "pk.txt").read_text())
+        factors = list(pk.family.factors)
+        i = next(i for i, f in enumerate(factors) if f.m == 2)
+        n = factors[i].n
+        r0 = next(v for v in range(2, n) if gcd(v, n) == 1 and jacobi(v, n) == -1)
+        factors[i] = replace(factors[i], transversal=(r0,) + factors[i].transversal[1:])
+        bad = tmp_path / "pk.txt"
+        bad.write_text(format_general_pk(
+            GeneralPublicKey(pk.group, pk.generators, FactorFamily(tuple(factors)))))
+        c = tmp_path / "c.txt"
+        c.write_text("e\n")
+        rc, _, err = run(capsys, "decrypt", "--sk", str(sym3_dir / "sk.txt"),
+                         "--pk", str(bad), "--cipher", str(c))
+        assert rc == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_bad_cyclic_hommul_operands(self, z3_keys, tmp_path, capsys):
         pk = z3_keys / "pk.txt"
         n = int(pk.read_text().split("n:")[1].split()[0])

@@ -315,3 +315,8 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             # 14 shares a factor with 35
             parse_cyclic_pk("GHC-CYCLIC-PK v1\nm: 3\nn: 35\nR: 1 17 14\n")
+
+    def test_even_modulus(self):
+        # no Jacobi symbol modulo an even n, so no ciphertext group
+        with pytest.raises(FormatError):
+            parse_cyclic_pk("GHC-CYCLIC-PK v1\nm: 3\nn: 70\nR: 1 17 9\n")

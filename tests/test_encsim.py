@@ -266,6 +266,26 @@ class TestProtocolCircuit:
         _, t2 = self.run(sym5_keys, c, (1, 0), seed="b")
         assert format_transcript(t1) != format_transcript(t2)
 
+    def test_depth8_chain(self):
+        # 9-input OR/AND chain: 1,616 instructions, so Bob folds words of
+        # ~10^4 letters, which is only practical with seam-only products
+        names = [f"x{k}" for k in range(1, 10)]
+        lines = ["INPUTS " + " ".join(names)]
+        acc, op = names[0], "OR"
+        for k, name in enumerate(names[1:], start=1):
+            lines.append(f"g{k} = {op} {acc} {name}")
+            acc, op = f"g{k}", "AND" if op == "OR" else "OR"
+        c = parse_circuit("\n".join(lines + [f"OUTPUT {acc}"]) + "\n")
+        keys = keygen_general(sym(5), 16, random.Random(58))
+        assigned = [(1,) * 9, (0,) * 9, (1, 0, 1, 1, 0, 1, 1, 0, 1)]
+        assert {eval_circuit(c, bits) for bits in assigned} == {0, 1}
+        for bits in assigned:
+            pk, sk = keys
+            alice = CircuitAlice(sk, pk, c, random.Random(f"d8:{bits}"),
+                                 phi_steps=2, psi_length=1)
+            bit, _ = protocol_encrypted_circuit(alice, CircuitBob(pk, bits))
+            assert bit == eval_circuit(c, bits)
+
     def test_bob_uses_public_data_only(self, sym5_keys):
         pk, _ = sym5_keys
         bob = CircuitBob(pk, (1, 1))

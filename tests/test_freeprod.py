@@ -8,6 +8,7 @@ from ghcrypt.errors import FormatError
 from ghcrypt.freeprod import (
     FactorFamily,
     GLetter,
+    GWord,
     KWord,
     LetterOutOfGroup,
     MissingTrapdoor,
@@ -33,6 +34,7 @@ from ghcrypt.freeprod import (
     random_phi_witness,
     trapdoor_oracles,
 )
+from ghcrypt.freeprod import _join
 from ghcrypt.groupcore import cyclic_group, sym
 
 
@@ -55,21 +57,23 @@ def fixpoint_normalize(family, letters):
     return tuple(GLetter(i, v) for i, v in word if v != 1)
 
 
+def random_value(family, i, rng):
+    """A uniform element of factor i's group (Jacobi 1 for even order)."""
+    from math import gcd
+
+    from ghcrypt.numtheory import jacobi
+    n = family.modulus(i)
+    while True:
+        v = rng.randrange(1, n)
+        if gcd(v, n) == 1 and (family.order(i) % 2 or jacobi(v, n) == 1):
+            return v
+
+
 def random_raw_word(family, rng, max_len=12):
     letters = []
     for _ in range(rng.randrange(max_len + 1)):
         i = rng.randrange(1, family.count + 1)
-        n = family.modulus(i)
-        while True:
-            v = rng.randrange(1, n)
-            from math import gcd
-            if gcd(v, n) == 1:
-                if family.order(i) % 2 == 0:
-                    from ghcrypt.numtheory import jacobi
-                    if jacobi(v, n) != 1:
-                        continue
-                break
-        letters.append((i, v))
+        letters.append((i, random_value(family, i, rng)))
     return letters
 
 
@@ -164,6 +168,72 @@ class TestWordAlgebra:
             u = normalize(small_family, random_raw_word(small_family, rng))
             v = normalize(small_family, random_raw_word(small_family, rng))
             assert len(g_multiply(u, v)) <= len(u) + len(v)
+
+
+class TestSeamMerge:
+    """g_multiply and the rotation of inverse_p_phi merge only at the seam;
+    the reference is normalize over the concatenated letters."""
+
+    def reference(self, family, left, right):
+        return normalize(family, left + right, validate=False).letters
+
+    def test_random_pairs(self, small_family):
+        rng = random.Random(21)
+        for _ in range(2000):
+            u = normalize(small_family, random_raw_word(small_family, rng))
+            v = normalize(small_family, random_raw_word(small_family, rng))
+            assert g_multiply(u, v).letters == self.reference(
+                small_family, u.letters, v.letters)
+
+    def test_cascade_stops_on_merge(self, small_family):
+        # v = (proper suffix of u)^-1 * w, where w starts in the factor of
+        # the letter left facing the seam: the suffix cancels pair by pair,
+        # then the walk ends on one merged letter
+        rng = random.Random(22)
+        for _ in range(1000):
+            u = normalize(small_family, random_raw_word(small_family, rng, 16))
+            if len(u) < 2:
+                continue
+            k = rng.randrange(1, len(u))
+            facing = u.letters[k - 1]
+            n = small_family.modulus(facing.factor)
+            x = random_value(small_family, facing.factor, rng)
+            while x * facing.value % n == 1:
+                x = random_value(small_family, facing.factor, rng)
+            rest = normalize(small_family, random_raw_word(small_family, rng)).letters
+            if rest and rest[0].factor == facing.factor:
+                rest = rest[1:]
+            w = (GLetter(facing.factor, x),) + rest
+            v = GWord(small_family, g_inverse(GWord(small_family, u.letters[k:])).letters + w)
+            got = g_multiply(u, v).letters
+            assert got == self.reference(small_family, u.letters, v.letters)
+            assert got == (u.letters[:k - 1]
+                           + (GLetter(facing.factor, facing.value * x % n),) + rest)
+
+    def rotations(self, word):
+        for idx in range(len(word)):
+            yield word.letters[idx + 1:], word.letters[:idx]
+
+    def test_rotation_random_words(self, small_family):
+        rng = random.Random(23)
+        for _ in range(500):
+            g = normalize(small_family, random_raw_word(small_family, rng))
+            for tail, head in self.rotations(g):
+                got = _join(small_family.factors, tail, head)
+                assert got == self.reference(small_family, tail, head)
+
+    def test_rotation_of_kernel_words(self, small_family):
+        # p_phi words are conjugates x^-1 ... x, so rotating around the
+        # middle cancels across the seam
+        rng = random.Random(24)
+        shrank = 0
+        for _ in range(300):
+            g = p_phi(small_family, random_phi_witness(small_family, rng.randrange(1, 7), rng))
+            for tail, head in self.rotations(g):
+                got = _join(small_family.factors, tail, head)
+                assert got == self.reference(small_family, tail, head)
+                shrank += len(got) < len(tail) + len(head) - 1
+        assert shrank > 50
 
 
 class TestPhi:

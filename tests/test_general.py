@@ -1,11 +1,14 @@
+import dataclasses
 import random
+from math import gcd
 
 import pytest
 
 from ghcrypt.errors import FormatError
-from ghcrypt.freeprod import combined_P, phi_map, psi_map
+from ghcrypt.freeprod import FactorFamily, combined_P, phi_map, psi_map
 from ghcrypt.general import (
     GeneralCiphertext,
+    GeneralPublicKey,
     IdentityGroup,
     MalformedWord,
     decrypt_general,
@@ -21,6 +24,22 @@ from ghcrypt.general import (
     secret_family,
 )
 from ghcrypt.groupcore import cyclic_group, group_from_table
+from ghcrypt.numtheory import jacobi
+
+
+def tampered_pk_text(pk, changes):
+    """Key text of pk with factor i's public key replaced as ``changes[i]``
+    (a dict of CyclicPublicKey fields) says; the TRANSVERSAL section is
+    rewritten to match, so only the factor lines are wrong."""
+    factors = list(pk.family.factors)
+    for i, fields in changes.items():
+        factors[i - 1] = dataclasses.replace(factors[i - 1], **fields)
+    bad = GeneralPublicKey(pk.group, pk.generators, FactorFamily(tuple(factors)))
+    return format_general_pk(bad)
+
+
+def jacobi_minus_one(n):
+    return next(v for v in range(2, n) if gcd(v, n) == 1 and jacobi(v, n) == -1)
 
 
 class TestKeygen:
@@ -287,3 +306,43 @@ class TestKeyFiles:
         lines[-1] = f"{b[0]} {a[1]}"
         with pytest.raises(FormatError):
             parse_general_pk("\n".join(lines) + "\n")
+
+    def test_entry_outside_ciphertext_group_rejected(self, sym3_keys):
+        # R[0] is in no TRANSVERSAL word, but p_psi uses it whenever
+        # sample_A draws exponent 0
+        pk, _ = sym3_keys
+        i = next(i for i, f in enumerate(pk.family.factors, 1) if f.m == 2)
+        fpk = pk.family.public(i)
+        bad_r0 = (jacobi_minus_one(fpk.n),) + fpk.transversal[1:]
+        with pytest.raises(FormatError):
+            parse_general_pk(tampered_pk_text(pk, {i: {"transversal": bad_r0}}))
+
+    def test_non_unit_entry_outside_words_rejected(self, sym3_keys):
+        # R[2] of an order-3 factor: its element is named by the other
+        # 3-cycle's factor, so no TRANSVERSAL word checks this entry
+        pk, sk = sym3_keys
+        i = next(i for i, f in enumerate(pk.family.factors, 1) if f.m == 3)
+        assert all(c != (i, 2) for c in pk.coordinates.values())
+        fpk, p = pk.family.public(i), sk.factors[i - 1].p
+        bad = fpk.transversal[:2] + (p,)
+        with pytest.raises(FormatError):
+            parse_general_pk(tampered_pk_text(pk, {i: {"transversal": bad}}))
+
+    def test_even_modulus_rejected(self, sym3_keys):
+        # an odd-order factor takes no Jacobi symbol of its letters, so an
+        # even n with odd unit entries passes every word check
+        pk, _ = sym3_keys
+        i = next(i for i, f in enumerate(pk.family.factors, 1) if f.m == 3)
+        fpk = pk.family.public(i)
+        odd = tuple(r if r % 2 else r + fpk.n for r in fpk.transversal)
+        text = tampered_pk_text(pk, {i: {"n": 2 * fpk.n, "transversal": odd}})
+        with pytest.raises(FormatError):
+            parse_general_pk(text)
+
+    def test_repeated_factor_modulus_rejected(self, sym3_keys):
+        pk, _ = sym3_keys
+        i, j = [i for i, f in enumerate(pk.family.factors, 1) if f.m == 2][:2]
+        fpk = pk.family.public(i)
+        text = tampered_pk_text(pk, {j: {"n": fpk.n, "transversal": fpk.transversal}})
+        with pytest.raises(FormatError):
+            parse_general_pk(text)
