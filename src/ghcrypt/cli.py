@@ -59,7 +59,7 @@ def _sniff_pk(path: str):
 def _load_sk(path: str, kind: str, pk):
     text = _read(path)
     if kind == "cyclic":
-        return cyclic.parse_cyclic_sk(text, pk.m)
+        return cyclic.parse_cyclic_sk(text, pk)
     return general.parse_general_sk(text, pk)
 
 

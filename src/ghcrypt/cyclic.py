@@ -9,14 +9,21 @@ R[0..m-1] of the subgroup of m-th powers inside
 the plaintext i is a^m * R[i] for a fresh random unit a; multiplying
 ciphertexts adds plaintexts mod m.  The trapdoor is the factorization of n:
 p = 1 (mod m) and gcd(m, q-1) = gcd(m, 2), so membership in the group of
-m-th powers is decided by one exponentiation mod p and one mod q.
+m-th powers is decided by one exponentiation mod p, plus one mod q for even
+m (for odd m every unit mod q is an m-th power).
+
+Decryption scans the cosets R[i] * (m-th powers) in order.  The inverses
+R[i]^-1 are computed once per public key (``inverse_transversal``) and the
+m-th roots of unity once per secret key (``roots_of_unity``), so decrypting
+a letter of plaintext i costs i + 1 powers mod p, plus one power mod q at
+the matching coset for even m.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import Error, FormatError
@@ -81,6 +88,19 @@ class CyclicPublicKey:
     m: int
     n: int
     transversal: tuple[int, ...]
+    # Filled on first use.  A declared field keeps the instance's compact
+    # attribute storage; a cached_property writes to __dict__, which makes
+    # every later attribute read on the key slower in CPython 3.11.
+    _inverse_transversal: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def inverse_transversal(self) -> tuple[int, ...]:
+        """R[i]^-1 mod n for each i, the multipliers of the decryption scan."""
+        if self._inverse_transversal is None:
+            object.__setattr__(self, "_inverse_transversal", tuple(
+                mod_inverse(r, self.n) for r in self.transversal))
+        return self._inverse_transversal
 
 
 @dataclass(frozen=True)
@@ -91,6 +111,9 @@ class CyclicSecretKey:
     m_prime: int
     exp_p: int
     exp_q: int
+    # filled on first use, as CyclicPublicKey._inverse_transversal
+    _roots_of_unity: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_primes(cls, p: int, q: int, m: int) -> "CyclicSecretKey":
@@ -103,6 +126,15 @@ class CyclicSecretKey:
             raise ValueError(f"q = {q} violates gcd(m, q-1) = gcd(m, 2)")
         return cls(p=p, q=q, m=m, m_prime=m_prime,
                    exp_p=(p - 1) // m, exp_q=(q - 1) // m_prime)
+
+    @property
+    def roots_of_unity(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The sorted m-th roots of unity mod p and mod q."""
+        if self._roots_of_unity is None:
+            object.__setattr__(self, "_roots_of_unity", (
+                tuple(mth_roots_of_unity(self.m, self.p)),
+                tuple(mth_roots_of_unity(self.m, self.q))))
+        return self._roots_of_unity
 
 
 @dataclass(frozen=True)
@@ -161,20 +193,32 @@ def is_mth_power(sk: CyclicSecretKey, g: int) -> bool:
     """Trapdoor test: is g an m-th power of a unit mod n?
 
     Uses the exponent test g^((p-1)/m) = 1 (mod p) and
-    g^((q-1)/m') = 1 (mod q) with m' = gcd(m, q-1).
+    g^((q-1)/m') = 1 (mod q) with m' = gcd(m, q-1).  For odd m, m' = 1 and
+    the q-side test holds for every unit (Fermat), so it is skipped: one
+    power mod p, plus one mod q for even m when the first test holds.  For
+    even m the q-side test is what rejects a unit with Jacobi symbol -1.
     """
     n = sk.p * sk.q
     g %= n
     if gcd(g, n) != 1:
         raise NotAUnit(f"{g} is not a unit modulo {n}")
-    return (pow(g % sk.p, sk.exp_p, sk.p) == 1
-            and pow(g % sk.q, sk.exp_q, sk.q) == 1)
+    if pow(g % sk.p, sk.exp_p, sk.p) != 1:
+        return False
+    return sk.m_prime == 1 or pow(g % sk.q, sk.exp_q, sk.q) == 1
 
 
 def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext) -> int:
-    """Recover the plaintext: the unique i with c * R[i]^-1 an m-th power."""
-    for i, r in enumerate(pk.transversal):
-        if is_mth_power(sk, c.value * mod_inverse(r, pk.n) % pk.n):
+    """Recover the plaintext: the unique i with c * R[i]^-1 an m-th power.
+
+    Scans i = 0, 1, ... with the cached inverses ``pk.inverse_transversal``,
+    one ``is_mth_power`` per coset visited: a letter of plaintext i costs
+    i + 1 powers mod p, plus one power mod q at the matching coset for
+    even m.  A unit outside the ciphertext group raises NotInImage after
+    the full scan; a non-unit raises NotAUnit.
+    """
+    n = pk.n
+    for i, r_inv in enumerate(pk.inverse_transversal):
+        if is_mth_power(sk, c.value * r_inv % n):
             return i
     raise NotInImage(f"{c.value} lies in no transversal coset")
 
@@ -200,8 +244,9 @@ def inverse_P_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, g: int,
     root_q = mth_root_mod_prime(g % sk.q, pk.m, sk.q, rng)
     if root_q is None:
         return None
-    unity_p = rng.choice(mth_roots_of_unity(pk.m, sk.p))
-    unity_q = rng.choice(mth_roots_of_unity(pk.m, sk.q))
+    roots_p, roots_q = sk.roots_of_unity
+    unity_p = rng.choice(roots_p)
+    unity_q = rng.choice(roots_q)
     return crt_pair(root_p * unity_p % sk.p, sk.p,
                     root_q * unity_q % sk.q, sk.q)
 
@@ -416,11 +461,19 @@ def format_cyclic_sk(sk: CyclicSecretKey) -> str:
     return f"GHC-CYCLIC-SK v1\np: {sk.p}\nq: {sk.q}\n"
 
 
-def parse_cyclic_sk(text: str, m: int) -> CyclicSecretKey:
+def parse_cyclic_sk(text: str, pk: CyclicPublicKey) -> CyclicSecretKey:
+    """Parse the secret key of ``pk``; FormatError unless p*q = n and the
+    primes fit the plaintext order m."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     fields = _parse_fields(lines, "GHC-CYCLIC-SK v1", ["p", "q"])
     try:
         p, q = int(fields["p"]), int(fields["q"])
     except ValueError:
         raise FormatError("non-integer key field") from None
-    return CyclicSecretKey.from_primes(p, q, m)
+    try:
+        sk = CyclicSecretKey.from_primes(p, q, pk.m)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    if p * q != pk.n:
+        raise FormatError("secret key does not match the public modulus")
+    return sk

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import Error, FormatError
@@ -240,28 +241,55 @@ def builtin_group(spec: str) -> FiniteGroup | None:
     return None
 
 
-def _subgroup_closure(G: FiniteGroup, seed: set[int]) -> frozenset[int]:
-    closure = {0}
-    frontier = [x for x in seed if x != 0]
+def _subgroup_closure(G: FiniteGroup, gens: list[int]) -> frozenset[int]:
+    """The subgroup generated by ``gens``: right-multiply by the generators
+    until nothing new appears (in a finite group that is closed under
+    inverses too)."""
+    members = {0}
+    frontier = [0]
     while frontier:
         x = frontier.pop()
-        if x in closure:
+        for g in gens:
+            y = G.mul(x, g)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return frozenset(members)
+
+
+def _normal_closure(G: FiniteGroup, seed: Iterable[int],
+                    conjugators: list[int]) -> tuple[list[int], frozenset[int]]:
+    """Generators and elements of the smallest subgroup that contains
+    ``seed`` and is mapped into itself by conjugation with each of
+    ``conjugators``.
+
+    An element becomes a generator only when it lies outside the subgroup
+    so far, which at least doubles it, so there are at most log2|G| of them.
+    """
+    gens: list[int] = []
+    members = frozenset({0})
+    pending = list(seed)
+    while pending:
+        x = pending.pop()
+        if x in members:
             continue
-        closure.add(x)
-        for y in list(closure):
-            for z in (G.mul(x, y), G.mul(y, x)):
-                if z not in closure:
-                    frontier.append(z)
-    return frozenset(closure)
+        gens.append(x)
+        members = _subgroup_closure(G, gens)
+        pending.extend(G.mul(G.mul(G.inverse(g), x), g) for g in conjugators)
+    return gens, members
 
 
 def _derived_subgroup(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
-    comms = set()
-    for a in members:
-        ia = G.inverse(a)
-        for b in members:
-            comms.add(G.mul(G.mul(a, b), G.mul(ia, G.inverse(b))))
-    return _subgroup_closure(G, comms)
+    """[K, K] for the subgroup K with these members.
+
+    [K, K] is the normal closure in K = <X> of the commutators [a, b] with
+    a, b in X, so it is built from a generating set X of at most log2|K|
+    elements instead of all |K|^2 commutators.
+    """
+    gens, _ = _normal_closure(G, members, [])
+    comms = [G.mul(G.mul(G.inverse(a), G.inverse(b)), G.mul(a, b))
+             for a in gens for b in gens]
+    return _normal_closure(G, comms, gens)[1]
 
 
 def is_solvable(G: FiniteGroup) -> bool:

@@ -266,6 +266,23 @@ class TestExitCodes:
         assert rc == 1 and err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("p,q", [
+        (None, 7),  # gcd(3, 7-1) = 3 violates gcd(m, q-1) = gcd(m, 2)
+        (7, 5),     # a valid pair for m = 3 whose product is not n
+    ], ids=["q_violates_order", "product_is_not_n"])
+    def test_bad_cyclic_secret_key(self, z3_keys, tmp_path, capsys, p, q):
+        good = z3_keys / "sk.txt"
+        p = p or int(good.read_text().split("p:")[1].split()[0])
+        sk = tmp_path / "sk.txt"
+        sk.write_text(f"GHC-CYCLIC-SK v1\np: {p}\nq: {q}\n")
+        c = tmp_path / "c.txt"
+        run(capsys, "encrypt", "--pk", str(z3_keys / "pk.txt"), "--plain", "1",
+            "--seed", "1", "--out", str(c))
+        rc, out, err = run(capsys, "decrypt", "--sk", str(sk),
+                           "--pk", str(z3_keys / "pk.txt"), "--cipher", str(c))
+        assert rc == 1 and err.startswith("error:"), err
+        assert "Traceback" not in err and out == ""
+
     def test_bad_cyclic_hommul_operands(self, z3_keys, tmp_path, capsys):
         pk = z3_keys / "pk.txt"
         n = int(pk.read_text().split("n:")[1].split()[0])

@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from ghcrypt.numtheory import ExhaustedRetries, NotAUnit, jacobi
+from ghcrypt.numtheory import (ExhaustedRetries, NotAUnit, jacobi, mod_inverse,
+                               mth_roots_of_unity)
 from ghcrypt.cyclic import (
     BadOrder,
     CyclicCiphertext,
@@ -196,10 +197,70 @@ class TestPowerTest:
         assert not is_mth_power(sk, 17)
 
     def test_agrees_with_enumeration(self, key35, key77):
-        for pk, sk in (key35, key77):
+        # m' = gcd(m, q-1) is 1 for odd m (no q-side test) and 2 for even m
+        keys = [key35, key77]
+        keys += [keygen_cyclic(m, 5, random.Random(40 + m)) for m in (3, 4, 5, 6)]
+        for pk, sk in keys:
+            assert sk.m_prime == gcd(pk.m, 2)
             kernel = power_image(pk.n, pk.m)
             for g in units(pk.n):
                 assert is_mth_power(sk, g) == (g in kernel), g
+
+
+def reference_decrypt(sk, pk, c):
+    """The coset scan with a fresh inverse of R[i] at every coset."""
+    for i, r in enumerate(pk.transversal):
+        if is_mth_power(sk, c.value * mod_inverse(r, pk.n) % pk.n):
+            return i
+    raise NotInImage(f"{c.value} lies in no transversal coset")
+
+
+def decrypt_outcome(decrypt, sk, pk, value):
+    try:
+        return decrypt(sk, pk, CyclicCiphertext(value))
+    except (NotAUnit, NotInImage) as exc:
+        return type(exc)
+
+
+class TestDecryptScan:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 64])
+    def test_matches_reference_scan(self, m):
+        rng = random.Random(500 + m)
+        pk, sk = keygen_cyclic(m, 10, rng)
+        values = [encrypt_cyclic(pk, rng.randrange(m), rng).value for _ in range(50)]
+        values += [rng.randrange(1, pk.n) for _ in range(50)]
+        values += [sk.p, sk.q]
+        for v in values:
+            want = decrypt_outcome(reference_decrypt, sk, pk, v)
+            assert decrypt_outcome(decrypt_cyclic, sk, pk, v) == want, v
+
+    def test_inverse_transversal(self):
+        pk, _ = keygen_cyclic(6, 10, random.Random(77))
+        assert len(pk.inverse_transversal) == pk.m
+        assert all(r * r_inv % pk.n == 1
+                   for r, r_inv in zip(pk.transversal, pk.inverse_transversal))
+
+    def test_non_unit_and_jacobi_minus_one(self):
+        for m in (2, 4, 6):
+            pk, sk = keygen_cyclic(m, 10, random.Random(90 + m))
+            with pytest.raises(NotAUnit):
+                decrypt_cyclic(sk, pk, CyclicCiphertext(sk.q))
+            with pytest.raises(NotAUnit):
+                decrypt_cyclic(sk, pk, CyclicCiphertext(0))
+            g = next(g for g in range(2, pk.n)
+                     if gcd(g, pk.n) == 1 and jacobi(g, pk.n) == -1)
+            with pytest.raises(NotInImage):
+                decrypt_cyclic(sk, pk, CyclicCiphertext(g))
+            # the same unit times any encryption stays outside the group
+            c = encrypt_cyclic(pk, 1, random.Random(m))
+            with pytest.raises(NotInImage):
+                decrypt_cyclic(sk, pk, mult_ciphertexts(pk, c, CyclicCiphertext(g)))
+
+    def test_roots_of_unity_cached_per_key(self, key35):
+        _, sk = key35
+        assert sk.roots_of_unity == (tuple(mth_roots_of_unity(3, 7)),
+                                     tuple(mth_roots_of_unity(3, 5)))
+        assert sk.roots_of_unity is sk.roots_of_unity
 
 
 class TestInverse:
@@ -300,10 +361,10 @@ class TestKeyFiles:
         assert parse_cyclic_pk(text) == pk
 
     def test_sk_roundtrip(self, key35):
-        _, sk = key35
+        pk, sk = key35
         text = format_cyclic_sk(sk)
         assert text == "GHC-CYCLIC-SK v1\np: 7\nq: 5\n"
-        assert parse_cyclic_sk(text, 3) == sk
+        assert parse_cyclic_sk(text, pk) == sk
 
     def test_bad_files(self):
         with pytest.raises(FormatError):
@@ -315,6 +376,13 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             # 14 shares a factor with 35
             parse_cyclic_pk("GHC-CYCLIC-PK v1\nm: 3\nn: 35\nR: 1 17 14\n")
+        pk = parse_cyclic_pk("GHC-CYCLIC-PK v1\nm: 3\nn: 35\nR: 1 17 9\n")
+        with pytest.raises(FormatError):
+            # gcd(3, 7-1) = 3 violates gcd(m, q-1) = gcd(m, 2)
+            parse_cyclic_sk("GHC-CYCLIC-SK v1\np: 13\nq: 7\n", pk)
+        with pytest.raises(FormatError):
+            # primes fit m = 3, but 13 * 5 != 35
+            parse_cyclic_sk("GHC-CYCLIC-SK v1\np: 13\nq: 5\n", pk)
 
     def test_even_modulus(self):
         # no Jacobi symbol modulo an even n, so no ciphertext group

@@ -203,6 +203,35 @@ class TestSolvability:
         derived = _derived_subgroup(s3, frozenset(range(6)))
         assert len(derived) == 3
 
+    @pytest.mark.parametrize("G", [sym(k) for k in range(1, 6)]
+                             + [cyclic_group(m) for m in (1, 2, 6, 12, 64)]
+                             + [alternating5()], ids=lambda G: G.name)
+    def test_matches_all_pairs_definition(self, G):
+        # the derived series from generating sets against the closure of
+        # all |K|^2 commutators at every level
+        from ghcrypt.groupcore import _derived_subgroup
+
+        def closure(seed):
+            members, frontier = {0}, list(seed)
+            while frontier:
+                x = frontier.pop()
+                if x in members:
+                    continue
+                members.add(x)
+                frontier.extend(G.mul(x, y) for y in list(members))
+                frontier.extend(G.mul(y, x) for y in list(members))
+            return frozenset(members)
+
+        current = frozenset(range(G.order))
+        while True:
+            want = closure({G.mul(G.mul(a, b), G.mul(G.inverse(a), G.inverse(b)))
+                            for a in current for b in current})
+            assert _derived_subgroup(G, current) == want
+            if want == current:
+                break
+            current = want
+        assert is_solvable(G) == (current == frozenset({0}))
+
 
 class TestBuiltinsAndFiles:
     def test_builtin_specs(self):
