@@ -12,11 +12,21 @@ p = 1 (mod m) and gcd(m, q-1) = gcd(m, 2), so membership in the group of
 m-th powers is decided by one exponentiation mod p, plus one mod q for even
 m (for odd m every unit mod q is an m-th power).
 
-Decryption scans the cosets R[i] * (m-th powers) in order.  The inverses
-R[i]^-1 are computed once per public key (``inverse_transversal``) and the
-m-th roots of unity once per secret key (``roots_of_unity``), so decrypting
-a letter of plaintext i costs i + 1 powers mod p, plus one power mod q at
-the matching coset for even m.
+Decryption compares characters.  The map x -> x^((p-1)/m) mod p is a
+homomorphism whose kernel holds the m-th powers mod p, so c lies in the
+coset of R[i] on the p side exactly when c and R[i] have the same
+character; both are taken relative to R[0] so that the character of
+coset 0 is 1 (the test of Benaloh's dense probabilistic encryption, 1994).
+For even m a match is confirmed by one power mod q.  A lone ciphertext of
+plaintext i costs i + 1 powers mod p (its own character and those of
+R[1..i]), plus one mod q for even m.  The characters of the transversal
+depend only on the key pair, so a caller decrypting many letters under
+one key passes one list that keeps them (``decrypt_cyclic``'s
+``characters``); each letter then costs one power mod p, plus one mod q
+for even m, and the transversal characters are computed once per list.
+The inverses R[i]^-1 are computed once per public key
+(``inverse_transversal``) and the m-th roots of unity once per secret key
+(``roots_of_unity``).
 """
 
 from __future__ import annotations
@@ -164,12 +174,12 @@ def random_unit(n: int, rng: random.Random) -> int:
 
 
 def in_group_G(pk: CyclicPublicKey, g: int) -> bool:
-    """Membership in the ciphertext group: Jacobi symbol 1, or +-1 for odd m."""
+    """Membership in the ciphertext group: every unit for odd m, the units
+    of Jacobi symbol 1 for even m."""
     g %= pk.n
     if gcd(g, pk.n) != 1:
         raise NotAUnit(f"{g} is not a unit modulo {pk.n}")
-    j = jacobi(g, pk.n)
-    return j == 1 or (pk.m % 2 == 1 and j == -1)
+    return pk.m % 2 == 1 or jacobi(g, pk.n) == 1
 
 
 def apply_P(pk: CyclicPublicKey, a: int) -> CyclicCiphertext:
@@ -207,18 +217,37 @@ def is_mth_power(sk: CyclicSecretKey, g: int) -> bool:
     return sk.m_prime == 1 or pow(g % sk.q, sk.exp_q, sk.q) == 1
 
 
-def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext) -> int:
-    """Recover the plaintext: the unique i with c * R[i]^-1 an m-th power.
+def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext,
+                   characters: list[int] | None = None) -> int:
+    """Recover the plaintext: the first i with c * R[i]^-1 an m-th power.
 
-    Scans i = 0, 1, ... with the cached inverses ``pk.inverse_transversal``,
-    one ``is_mth_power`` per coset visited: a letter of plaintext i costs
-    i + 1 powers mod p, plus one power mod q at the matching coset for
-    even m.  A unit outside the ciphertext group raises NotInImage after
-    the full scan; a non-unit raises NotAUnit.
+    With chi(x) = (x * R[0]^-1)^((p-1)/m) mod p, the p side of that test is
+    chi(c) == chi(R[i]); for even m a p-side match also needs
+    (c * R[i]^-1)^((q-1)/2) = 1 (mod q), and the scan goes on when it
+    fails.  ``characters`` memoizes chi(R[0]), chi(R[1]), ... (chi(R[0]) =
+    1) and is filled in order as the scan first reaches each coset; it
+    belongs to this key pair, and a caller that decrypts several letters
+    under the key passes the same list each time.  A letter of plaintext i
+    costs one power mod p, the characters of R[1..i] not yet in the list,
+    and one power mod q per p-side match for even m.  A unit outside the
+    ciphertext group raises NotInImage after the full scan; a non-unit
+    raises NotAUnit.
     """
-    n = pk.n
-    for i, r_inv in enumerate(pk.inverse_transversal):
-        if is_mth_power(sk, c.value * r_inv % n):
+    n, p, q = pk.n, sk.p, sk.q
+    value = c.value % n
+    if gcd(value, n) != 1:
+        raise NotAUnit(f"{value} is not a unit modulo {n}")
+    r_inv = pk.inverse_transversal
+    x = pow(value * r_inv[0] % p, sk.exp_p, p)
+    if characters is None:
+        characters = []
+    if not characters:
+        characters.append(1)
+    for i in range(pk.m):
+        if i == len(characters):
+            characters.append(pow(pk.transversal[i] * r_inv[0] % p, sk.exp_p, p))
+        if x == characters[i] and (
+                sk.m_prime == 1 or pow(value * r_inv[i] % q, sk.exp_q, q) == 1):
             return i
     raise NotInImage(f"{c.value} lies in no transversal coset")
 
@@ -341,8 +370,9 @@ def keygen_cyclic(m: int, bits: int, rng: random.Random, *,
             r = r * pow(random_unit(n, rng), m, n) % n
         transversal.append(r)
     pk = CyclicPublicKey(m=m, n=n, transversal=tuple(transversal))
+    characters: list[int] = []
     for i in range(m):  # self-check: coset of R[i] is exactly i
-        if decrypt_cyclic(sk, pk, CyclicCiphertext(pk.transversal[i])) != i:
+        if decrypt_cyclic(sk, pk, CyclicCiphertext(pk.transversal[i]), characters) != i:
             raise Error("internal keygen failure: bad transversal")
     return pk, sk
 

@@ -135,10 +135,6 @@ class FactorFamily:
     def order(self, i: int) -> int:
         return self.public(i).m
 
-    def f_value(self, i: int, value: int) -> int:
-        """Coset index of a factor element (requires the trapdoor)."""
-        return decrypt_cyclic(self.secret(i), self.public(i), CyclicCiphertext(value))
-
     def with_secrets(self, secrets: tuple[CyclicSecretKey, ...]) -> "FactorFamily":
         if len(secrets) != len(self.factors):
             raise ValueError("secret count does not match factor count")
@@ -312,18 +308,24 @@ def phi_map(g: GWord, *, family: FactorFamily | None = None,
 
     Needs the factor trapdoors; pass ``family`` to supply a secret-bearing
     copy of the word's family.  ``symbols[i-1]`` names the cyclic factor of
-    factor i in the image (defaults to the factor index itself).
+    factor i in the image (defaults to the factor index itself).  Each
+    factor's transversal characters are computed once for the word (one
+    ``decrypt_cyclic`` list per factor), so a letter costs one power mod
+    its p_i, plus one mod q_i for even order.
     """
     fam = family if family is not None else g.family
     if family is not None and family.factors != g.family.factors:
         raise ValueError("family override does not match the word")
-    factors = fam.factors
+    scans: dict[int, tuple[CyclicSecretKey, CyclicPublicKey, list[int]]] = {}
     runs = []
     for letter in g.letters:
-        e = fam.f_value(letter.factor, letter.value)
+        i = letter.factor
+        if i not in scans:
+            scans[i] = (fam.secret(i), fam.public(i), [])
+        sk, pk, characters = scans[i]
+        e = decrypt_cyclic(sk, pk, CyclicCiphertext(letter.value), characters)
         if e:
-            symbol = symbols[letter.factor - 1] if symbols else letter.factor
-            runs.append((symbol, e, factors[letter.factor - 1].m))
+            runs.append((symbols[i - 1] if symbols else i, e, pk.m))
     return kword_from_runs(runs)
 
 
@@ -380,17 +382,28 @@ class PsiWitness:
 def p_phi(family: FactorFamily, witness: PhiWitness) -> GWord:
     """Evaluate a witness: preimage letters are raised to their factor order,
     plain letters pass through; the result is normalized and lies in the
-    kernel of ``phi_map`` by construction."""
+    kernel of ``phi_map`` by construction.
+
+    A preimage letter a must be a unit: then a^m lies in the factor group
+    (its Jacobi symbol is jacobi(a)^m, 1 for even m), so no Jacobi symbol
+    is needed.  Plain letters get the full letter check.
+    """
     factors = family.factors
     count = len(factors)
     raw = []
     for letter in witness.letters:
         i, v = letter.factor, letter.value
+        pk = factors[i - 1] if 0 < i <= count else family.public(i)  # raises
+        n = pk.n
         if letter.is_a0:
-            pk = factors[i - 1] if 0 < i <= count else family.public(i)  # raises
-            v = pow(v, pk.m, pk.n)
+            if gcd(v, n) != 1:
+                raise LetterOutOfGroup(f"{v} is not a unit modulo {n} (factor {i})")
+            v = pow(v, pk.m, n)
+        else:
+            v %= n
+            _check_letter(pk, i, v)
         raw.append((i, v))
-    return normalize(family, raw)
+    return normalize(family, raw, validate=False)
 
 
 def random_nonkernel_value(family: FactorFamily, i: int, rng: random.Random) -> int:

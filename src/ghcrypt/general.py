@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import Error, FormatError
 from .groupcore import FiniteGroup, GroupElement, format_group, parse_group
@@ -87,20 +86,25 @@ class GeneralPublicKey:
     group: FiniteGroup
     generators: tuple[int, ...]
     family: FactorFamily = field(compare=False)
+    # filled on first use, as CyclicPublicKey._inverse_transversal
+    _coordinates: dict[int, tuple[int, int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def coordinates(self) -> dict[int, tuple[int, int]]:
         """Element index -> (factor, exponent) with the element equal to
         ``generators[factor-1] ** exponent``, the exponent least possible."""
-        H = self.group
-        table = {H.identity: (1, 0)}
-        for factor, g in enumerate(self.generators, start=1):
-            el, e = g, 1
-            while el != H.identity:
-                if el not in table or table[el][1] > e:
-                    table[el] = (factor, e)
-                el, e = H.mul(el, g), e + 1
-        return table
+        if self._coordinates is None:
+            H = self.group
+            table = {H.identity: (1, 0)}
+            for factor, g in enumerate(self.generators, start=1):
+                el, e = g, 1
+                while el != H.identity:
+                    if el not in table or table[el][1] > e:
+                        table[el] = (factor, e)
+                    el, e = H.mul(el, g), e + 1
+            object.__setattr__(self, "_coordinates", table)
+        return self._coordinates
 
     def transversal_word(self, element_index: int) -> GWord:
         """The public coset representative word for an element of H."""

@@ -8,6 +8,7 @@ from ghcrypt.numtheory import (ExhaustedRetries, NotAUnit, jacobi, mod_inverse,
 from ghcrypt.cyclic import (
     BadOrder,
     CyclicCiphertext,
+    CyclicPublicKey,
     FactorInstance,
     NotInImage,
     OracleFailure,
@@ -233,6 +234,68 @@ class TestDecryptScan:
         for v in values:
             want = decrypt_outcome(reference_decrypt, sk, pk, v)
             assert decrypt_outcome(decrypt_cyclic, sk, pk, v) == want, v
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 64])
+    def test_shared_characters_match_reference_scan(self, m):
+        # one characters list for a mixed sequence, kept across exceptions
+        rng = random.Random(600 + m)
+        pk, sk = keygen_cyclic(m, 10, rng)
+        values = [encrypt_cyclic(pk, rng.randrange(m), rng).value for _ in range(60)]
+        values += [rng.randrange(1, pk.n) for _ in range(60)]
+        while len(values) < 140:
+            g = rng.randrange(2, pk.n)
+            if gcd(g, pk.n) == 1 and jacobi(g, pk.n) == -1:
+                values.append(g)
+        values += [0, sk.p, sk.q, 2 * sk.p, pk.n + pk.transversal[m - 1]]
+        rng.shuffle(values)
+        characters = []
+
+        def shared(sk, pk, c):
+            return decrypt_cyclic(sk, pk, c, characters)
+
+        outcomes = set()
+        for v in values:
+            want = decrypt_outcome(reference_decrypt, sk, pk, v)
+            assert decrypt_outcome(shared, sk, pk, v) == want, v
+            outcomes.add(want if isinstance(want, type) else int)
+        # every unit lies in the ciphertext group for odd m
+        assert outcomes == {int, NotAUnit} | ({NotInImage} if m % 2 == 0 else set())
+        assert characters[0] == 1 and len(characters) <= m
+
+    @pytest.mark.parametrize("fixture", ["key35", "key77"])
+    def test_first_match_when_two_entries_share_a_coset(self, fixture, request):
+        pk0, sk = request.getfixturevalue(fixture)
+        n, m = pk0.n, pk0.m
+        # R[1] times an m-th power: the coset of R[1] appears twice, the
+        # coset of R[0] (m = 2) or R[2] (m = 3) not at all
+        twin = pk0.transversal[1] * pow(2, m, n) % n
+        for transversal in ((twin,) + pk0.transversal[1:],
+                            pk0.transversal[1:] + (twin,)):
+            pk = CyclicPublicKey(m=m, n=n, transversal=transversal)
+            characters = []
+            for v in units(n):
+                want = decrypt_outcome(reference_decrypt, sk, pk, v)
+                assert decrypt_outcome(decrypt_cyclic, sk, pk, v) == want, v
+                got = decrypt_outcome(
+                    lambda sk, pk, c: decrypt_cyclic(sk, pk, c, characters), sk, pk, v)
+                assert got == want, v
+            for v in (twin, pk0.transversal[1]):
+                assert decrypt_cyclic(sk, pk, CyclicCiphertext(v)) == 0
+
+    def test_keygen_self_check_is_linear_in_m(self, monkeypatch):
+        import builtins
+
+        from ghcrypt import cyclic
+        calls = [0]
+
+        def counting_pow(*args):
+            calls[0] += 1
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(cyclic, "pow", counting_pow, raising=False)
+        m = 64
+        keygen_cyclic(m, 16, random.Random(64))
+        assert calls[0] < 8 * m
 
     def test_inverse_transversal(self):
         pk, _ = keygen_cyclic(6, 10, random.Random(77))

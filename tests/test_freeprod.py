@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ghcrypt.cyclic import OracleFailure, keygen_cyclic
+from ghcrypt.cyclic import OracleFailure, is_mth_power, keygen_cyclic
 from ghcrypt.errors import FormatError
 from ghcrypt.freeprod import (
     FactorFamily,
@@ -35,6 +35,7 @@ from ghcrypt.freeprod import (
     trapdoor_oracles,
 )
 from ghcrypt.freeprod import _join
+from ghcrypt.general import secret_family
 from ghcrypt.groupcore import cyclic_group, sym
 
 
@@ -262,6 +263,37 @@ class TestPhi:
             assert lhs == rhs
 
 
+def reference_coset(sk, pk, value):
+    """The coset scan: first i with value * R[i]^-1 an m-th power."""
+    for i, r in enumerate(pk.transversal):
+        if is_mth_power(sk, value * pow(r, -1, pk.n) % pk.n):
+            return i
+    raise AssertionError(f"{value} lies in no coset")
+
+
+def long_raw_word(family, rng, length):
+    factors = [rng.randrange(1, family.count + 1) for _ in range(length)]
+    return [(i, random_value(family, i, rng)) for i in factors]
+
+
+class TestPhiLongWords:
+    def test_matches_per_letter_reference(self, small_family, sym3_keys):
+        pk, sk = sym3_keys
+        rng = random.Random(71)
+        for family, symbols in ((small_family, None),
+                                (secret_family(pk, sk), pk.generators)):
+            for _ in range(5):
+                w = normalize(family, long_raw_word(family, rng, 600))
+                assert len(w) > 60 * family.count
+                want = kword_from_runs(
+                    (symbols[l.factor - 1] if symbols else l.factor,
+                     reference_coset(family.secret(l.factor),
+                                     family.public(l.factor), l.value),
+                     family.order(l.factor))
+                    for l in w.letters)
+                assert phi_map(w, symbols=symbols) == want
+
+
 class TestKWord:
     def test_runs_normalize(self):
         k = kword_from_runs([(1, 2, 3), (1, 2, 3), (2, 1, 2)])
@@ -351,6 +383,26 @@ class TestPPhi:
         w = PhiWitness((PhiLetter(1, 33, False), PhiLetter(1, 2, True),
                         PhiLetter(1, 17, False)), 1)
         assert p_phi(small_family, w).letters == (GLetter(1, 8),)
+
+    def test_non_unit_preimage_letter(self, small_family):
+        for factor, value in ((1, 7), (1, 0), (2, 11), (2, -22)):
+            with pytest.raises(LetterOutOfGroup):
+                p_phi(small_family, PhiWitness((PhiLetter(factor, value, True),), 1))
+
+    def test_preimage_letter_of_jacobi_minus_one(self, small_family):
+        # jacobi(2, 77) = -1, but 2^2 = 4 lies in the order-2 factor group
+        w = PhiWitness((PhiLetter(2, 2, True),), 1)
+        assert p_phi(small_family, w).letters == (GLetter(2, 4),)
+
+    def test_plain_letter_outside_group(self, small_family):
+        for factor, value in ((2, 2), (1, 7), (2, 0)):
+            with pytest.raises(LetterOutOfGroup):
+                p_phi(small_family, PhiWitness((PhiLetter(factor, value, False),), 1))
+
+    def test_factor_index_out_of_range(self, small_family):
+        for is_a0 in (True, False):
+            with pytest.raises(ValueError):
+                p_phi(small_family, PhiWitness((PhiLetter(3, 2, is_a0),), 1))
 
     def test_witness_lands_in_kernel(self, small_family, rng):
         for _ in range(100):

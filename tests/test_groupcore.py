@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -100,6 +101,98 @@ class TestConstruction:
             group_from_table([[0, 1]])
         with pytest.raises(FormatError):
             group_from_table([[0, 5], [5, 0]])
+
+
+def _fill_latin(rows, i, j, rng):
+    """Complete ``rows`` row by row from cell (i, j), random depth-first."""
+    n = len(rows)
+    if i == n:
+        return True
+    used = set(rows[i][:j]) | {rows[k][j] for k in range(i)}
+    candidates = [v for v in range(n) if v not in used]
+    rng.shuffle(candidates)
+    nxt = (i, j + 1) if j + 1 < n else (i + 1, 1)
+    for v in candidates:
+        rows[i][j] = v
+        if _fill_latin(rows, *nxt, rng):
+            return True
+    rows[i][j] = None
+    return False
+
+
+def random_loop(n, rng):
+    """A random Latin square with identity 0 and two-sided inverses."""
+    while True:
+        rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+        assert _fill_latin(rows, 1, 1, rng)
+        if all(rows[rows[a].index(0)][a] == 0 for a in range(n)):
+            return tuple(tuple(row) for row in rows)
+
+
+def relabeled(table, rng):
+    """The table under a random relabeling that keeps 0 the identity."""
+    n = len(table)
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return tuple(tuple(row) for row in out)
+
+
+def swap_intercalate(table, rng):
+    """The table with one random 2x2 subsquare [[a, b], [b, a]] outside row
+    and column 0 turned into [[b, a], [a, b]]: still a Latin square with
+    identity 0, usually no longer associative."""
+    n = len(table)
+    squares = [(r1, r2, c1, c2)
+               for r1, r2 in itertools.combinations(range(1, n), 2)
+               for c1, c2 in itertools.combinations(range(1, n), 2)
+               if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]]
+    r1, r2, c1, c2 = rng.choice(squares)
+    rows = [list(row) for row in table]
+    rows[r1][c1], rows[r1][c2] = rows[r1][c2], rows[r1][c1]
+    rows[r2][c1], rows[r2][c2] = rows[r2][c2], rows[r2][c1]
+    return tuple(tuple(row) for row in rows)
+
+
+def brute_force_associative(rows):
+    n = len(rows)
+    return all(rows[rows[x][y]][z] == rows[x][rows[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+class TestLightAssociativity:
+    def test_random_loops_against_brute_force(self):
+        from ghcrypt.groupcore import _validate_table
+        rng = random.Random(2024)
+        klein = [[a ^ b for b in range(4)] for a in range(4)]
+        z2z4 = [[(a & 1 ^ b & 1) | ((a >> 1) + (b >> 1)) % 4 << 1 for b in range(8)]
+                for a in range(8)]
+        z2_cubed = [[a ^ b for b in range(8)] for a in range(8)]
+        groups = [cyclic_group(k).table for k in range(4, 9)]
+        groups += [klein, z2z4, z2_cubed, sym(3).table]
+        tables = [random_loop(n, rng) for n in range(4, 9) for _ in range(12)]
+        tables += [relabeled(t, rng) for t in groups for _ in range(3)]
+        # loops one swap away from a group that needs several generators
+        for t in (z2z4, z2_cubed, sym(3).table):
+            for _ in range(12):
+                loop = swap_intercalate(relabeled(t, rng), rng)
+                if all(loop[loop[a].index(0)][a] == 0 for a in range(len(loop))):
+                    tables.append(loop)
+        verdicts = set()
+        for rows in tables:
+            want = brute_force_associative(rows)
+            try:
+                _validate_table(rows)
+                got = True
+            except NotAssociative as exc:
+                got = False
+                x, g, y = map(int, re.findall(r"\d+", str(exc))[:3])
+                assert rows[rows[x][g]][y] != rows[x][rows[g][y]], str(exc)
+            assert got == want, rows
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestSym:
