@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Error, FormatError
+from .errors import Error, FormatError, header, ints, records
 from .groupcore import FiniteGroup, GroupElement, builtin_group, is_solvable
 from .circuit import And, ArityMismatch, Circuit, Const, Input, Not, Or, circuit_depth
 
@@ -194,20 +194,14 @@ def format_program(p: GroupProgram) -> str:
 
 
 def parse_program(text: str) -> GroupProgram:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise FormatError("empty program file")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "GPROG" or header[1] != "v1":
-        raise FormatError(f"bad program header {lines[0]!r}")
-    group = builtin_group(header[2])
+    lines = records(text)
+    name, *fields = header(lines, "GPROG v1", 3)
+    group = builtin_group(name)
     if group is None:
-        raise FormatError(f"unknown group {header[2]!r}")
-    try:
-        input_count, target = int(header[3]), int(header[4])
-    except ValueError:
-        raise FormatError("bad program header fields") from None
+        raise FormatError(f"unknown group {name!r}")
+    input_count, target = ints(fields, "program header fields")
+    if input_count < 0:
+        raise FormatError(f"input count {input_count} is negative")
     if not 0 < target < group.order:
         raise FormatError(f"target {target} out of range")
     instructions = []
@@ -215,10 +209,7 @@ def parse_program(text: str) -> GroupProgram:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"bad instruction line {line!r}")
-        try:
-            element, var = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"bad instruction line {line!r}") from None
+        element, var = ints(parts, f"instruction line {line!r}")
         if not 0 <= element < group.order:
             raise FormatError(f"element {element} out of range")
         if not 0 <= var <= input_count:

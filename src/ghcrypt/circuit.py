@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import Error
+from .errors import Error, records
 
 __all__ = [
     "CircuitSyntaxError",
@@ -123,12 +123,11 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitSyntaxError(f"bad identifier {token!r}", lineno, col)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        tokens = " ".join(records(raw)).split()  # one line: at most one record
+        if not tokens:
             continue
         if output is not None:
             raise CircuitSyntaxError("content after OUTPUT", lineno)
-        tokens = line.split()
         if tokens[0] == "INPUTS":
             if saw_inputs:
                 raise CircuitSyntaxError("second INPUTS line", lineno)

@@ -15,7 +15,7 @@ import sys
 from math import gcd
 from pathlib import Path
 
-from .errors import Error, FormatError
+from .errors import Error, FormatError, ints, records
 from . import groupcore
 from . import cyclic
 from . import general
@@ -48,7 +48,8 @@ def _read(path: str) -> str:
 def _sniff_pk(path: str):
     """Load a public key file of either kind."""
     text = _read(path)
-    head = text.lstrip().splitlines()[0] if text.strip() else ""
+    lines = records(text)
+    head = " ".join(lines[0].split()) if lines else ""
     if head == "GHC-CYCLIC-PK v1":
         return "cyclic", cyclic.parse_cyclic_pk(text)
     if head == "GHC-GENERAL-PK v1":
@@ -84,6 +85,8 @@ def _parse_plain(kind: str, pk, label: str):
 
 
 def _cmd_keygen(args) -> int:
+    if not 1 <= args.bits <= 512:
+        raise Error(f"--bits must be in 1..512, got {args.bits}")
     rng = random.Random(args.seed)
     group_spec = args.group
     out = Path(args.out)
@@ -125,10 +128,10 @@ def _cmd_encrypt(args) -> int:
 
 def _parse_cyclic_cipher(text: str, pk) -> cyclic.CyclicCiphertext:
     """One decimal line holding a unit in 1..n-1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise FormatError("cyclic ciphertext files hold one decimal line") from None
+    tokens = " ".join(records(text)).split()
+    if len(tokens) != 1:
+        raise FormatError("cyclic ciphertext files hold one decimal line")
+    (value,) = ints(tokens, "cyclic ciphertext")
     if not 0 < value < pk.n or gcd(value, pk.n) != 1:
         raise FormatError(f"ciphertext {value} is not a unit in 1..n-1")
     return cyclic.CyclicCiphertext(value)
@@ -137,7 +140,7 @@ def _parse_cyclic_cipher(text: str, pk) -> cyclic.CyclicCiphertext:
 def _cmd_decrypt(args) -> int:
     kind, pk = _sniff_pk(args.pk)
     sk = _load_sk(args.sk, kind, pk)
-    text = _read(args.cipher).strip()
+    text = _read(args.cipher)
     if kind == "cyclic":
         print(cyclic.decrypt_cyclic(sk, pk, _parse_cyclic_cipher(text, pk)))
     else:
@@ -149,7 +152,7 @@ def _cmd_decrypt(args) -> int:
 
 def _cmd_hommul(args) -> int:
     kind, pk = _sniff_pk(args.pk)
-    t1, t2 = _read(args.cipher1).strip(), _read(args.cipher2).strip()
+    t1, t2 = _read(args.cipher1), _read(args.cipher2)
     if kind == "cyclic":
         c = cyclic.mult_ciphertexts(pk, _parse_cyclic_cipher(t1, pk),
                                     _parse_cyclic_cipher(t2, pk))

@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import Error, FormatError
+from .errors import Error, FormatError, header, ints, records
 from .numtheory import (
     ExhaustedRetries,
     NotAUnit,
@@ -433,9 +433,9 @@ def format_cyclic_pk(pk: CyclicPublicKey) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_fields(lines: list[str], header: str, fields: list[str]) -> dict[str, str]:
-    if not lines or lines[0] != header:
-        raise FormatError(f"expected header {header!r}")
+def _parse_fields(text: str, magic: str, fields: list[str]) -> dict[str, str]:
+    lines = records(text)
+    header(lines, magic)
     out: dict[str, str] = {}
     for line in lines[1:]:
         key, _, value = line.partition(":")
@@ -470,19 +470,14 @@ def check_cyclic_pk(pk: CyclicPublicKey, entries: Iterable[int] | None = None) -
 
 
 def parse_cyclic_pk(text: str) -> CyclicPublicKey:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    fields = _parse_fields(lines, "GHC-CYCLIC-PK v1", ["m", "n", "R"])
-    try:
-        m = int(fields["m"])
-        n = int(fields["n"])
-        transversal = tuple(int(x) for x in fields["R"].split())
-    except ValueError:
-        raise FormatError("non-integer key field") from None
+    fields = _parse_fields(text, "GHC-CYCLIC-PK v1", ["m", "n", "R"])
+    m, n, *transversal = ints([fields["m"], fields["n"], *fields["R"].split()],
+                              "key field")
     if m < 2:
         raise BadOrder("plaintext order must be at least 2")
     if len(transversal) != m:
         raise FormatError(f"transversal must list {m} elements")
-    pk = CyclicPublicKey(m=m, n=n, transversal=transversal)
+    pk = CyclicPublicKey(m=m, n=n, transversal=tuple(transversal))
     check_cyclic_pk(pk)
     return pk
 
@@ -494,12 +489,8 @@ def format_cyclic_sk(sk: CyclicSecretKey) -> str:
 def parse_cyclic_sk(text: str, pk: CyclicPublicKey) -> CyclicSecretKey:
     """Parse the secret key of ``pk``; FormatError unless p*q = n and the
     primes fit the plaintext order m."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    fields = _parse_fields(lines, "GHC-CYCLIC-SK v1", ["p", "q"])
-    try:
-        p, q = int(fields["p"]), int(fields["q"])
-    except ValueError:
-        raise FormatError("non-integer key field") from None
+    fields = _parse_fields(text, "GHC-CYCLIC-SK v1", ["p", "q"])
+    p, q = ints([fields["p"], fields["q"]], "key field")
     try:
         sk = CyclicSecretKey.from_primes(p, q, pk.m)
     except ValueError as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import Error, FormatError
+from .errors import Error, FormatError, header, ints, records
 from .groupcore import FiniteGroup, GroupElement
 from .circuit import ArityMismatch, Circuit
 from .barrington import GroupProgram, compile_barrington
@@ -137,26 +137,17 @@ def format_encrypted_program(ep: EncryptedProgram) -> str:
 
 
 def parse_encrypted_program(text: str, pk: GeneralPublicKey) -> EncryptedProgram:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise FormatError("empty encrypted program")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "EPROG" or header[1] != "v1":
-        raise FormatError(f"bad encrypted program header {lines[0]!r}")
-    try:
-        input_count, target = int(header[2]), int(header[3])
-    except ValueError:
-        raise FormatError("bad encrypted program header fields") from None
+    lines = records(text)
+    input_count, target = ints(header(lines, "EPROG v1", 2),
+                               "encrypted program header fields")
+    if input_count < 0:
+        raise FormatError(f"input count {input_count} is negative")
     if not 0 < target < pk.group.order:
         raise FormatError(f"target {target} out of range")
     instructions = []
     for line in lines[1:]:
         var_str, _, word_text = line.partition(" ")
-        try:
-            var = int(var_str)
-        except ValueError:
-            raise FormatError(f"bad instruction line {line!r}") from None
+        (var,) = ints([var_str], f"instruction variable {var_str!r}")
         if not 0 <= var <= input_count:
             raise FormatError(f"variable {var} out of range")
         instructions.append((parse_gword(word_text, pk.family), var))
@@ -293,13 +284,12 @@ def format_group_circuit(circ: GroupCircuit) -> str:
 
 
 def parse_group_circuit(text: str, H: FiniteGroup) -> GroupCircuit:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "GCIRC v1":
-        raise FormatError("expected header 'GCIRC v1'")
-    if len(lines) < 2 or not lines[1].startswith("INPUTS"):
+    lines = records(text)
+    header(lines, "GCIRC v1")
+    inputs = lines[1].split() if len(lines) > 1 else []
+    if inputs[:1] != ["INPUTS"]:
         raise FormatError("missing INPUTS line")
-    input_names = lines[1].split()[1:]
+    input_names = inputs[1:]
     steps: list = []
     table: dict[str, int] = {}
     for k, name in enumerate(input_names):
@@ -336,8 +326,8 @@ def parse_group_circuit(text: str, H: FiniteGroup) -> GroupCircuit:
             if not token:
                 raise FormatError(f"bad CONST statement {line!r}")
             try:
-                index = int(token)
-            except ValueError:
+                (index,) = ints([token], "constant")
+            except FormatError:
                 try:
                     index = H.element_by_label(token).index
                 except ValueError:
@@ -397,7 +387,7 @@ class CircuitAlice:
     def result_message(self, word_text: str) -> tuple[str, int]:
         if self._target is None:
             raise Error("result requested before the program was sent")
-        word = parse_gword(word_text.strip(), self.pk.family)
+        word = parse_gword(word_text, self.pk.family)
         h = decrypt_general(self.sk, self.pk, GeneralCiphertext(word))
         bit = _output_bit(h, self._target)
         return f"bit: {bit}\nfg: {h.index}\n", bit
@@ -450,7 +440,7 @@ class InputAlice:
         return "\n".join(lines) + "\n"
 
     def decrypt_message(self, word_text: str) -> tuple[str, GroupElement]:
-        word = parse_gword(word_text.strip(), self.pk.family)
+        word = parse_gword(word_text, self.pk.family)
         h = decrypt_general(self.sk, self.pk, GeneralCiphertext(word))
         return f"element: {h.index}\n", h
 

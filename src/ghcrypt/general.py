@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import Error, FormatError
-from .groupcore import FiniteGroup, GroupElement, format_group, parse_group
+from .errors import Error, FormatError, header, ints, records
+from .groupcore import FiniteGroup, GroupElement, format_group, read_group
 from .numtheory import ExhaustedRetries
 from .cyclic import (
     CyclicPublicKey,
@@ -289,37 +289,20 @@ def format_general_pk(pk: GeneralPublicKey) -> str:
 
 
 def parse_general_pk(text: str) -> GeneralPublicKey:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "GHC-GENERAL-PK v1":
-        raise FormatError("expected header 'GHC-GENERAL-PK v1'")
-    if len(lines) < 2 or not lines[1].startswith("GROUP v1 "):
-        raise FormatError("missing embedded group table")
-    try:
-        order = int(lines[1].split()[2])
-    except (IndexError, ValueError):
-        raise FormatError("bad group header") from None
-    # group section: header + order rows (+ optional LABELS block)
-    idx = 2 + order
-    if idx < len(lines) and lines[idx] == "LABELS":
-        idx += 1 + order
-    group_text = "\n".join(lines[1:idx])
-    group = parse_group(group_text)
+    lines = records(text)
+    header(lines, "GHC-GENERAL-PK v1")
+    group, idx = read_group(lines, 1)
     factors: list[CyclicPublicKey] = []
     while idx < len(lines) and lines[idx].startswith("FACTOR "):
         parts = lines[idx].split()
         if len(parts) < 5 or parts[4] != "R:":
             raise FormatError(f"bad factor line {lines[idx]!r}")
-        try:
-            fi, m, n = int(parts[1]), int(parts[2]), int(parts[3])
-            transversal = tuple(int(x) for x in parts[5:])
-        except ValueError:
-            raise FormatError(f"bad factor line {lines[idx]!r}") from None
+        fi, m, n, *transversal = ints(parts[1:4] + parts[5:], "factor line fields")
         if fi != len(factors) + 1:
             raise FormatError("factor lines must be numbered consecutively")
         if len(transversal) != m:
             raise FormatError(f"factor {fi} transversal must list {m} elements")
-        factors.append(CyclicPublicKey(m=m, n=n, transversal=transversal))
+        factors.append(CyclicPublicKey(m=m, n=n, transversal=tuple(transversal)))
         idx += 1
     if not factors:
         raise FormatError("key lists no factors")
@@ -351,10 +334,7 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
         raise FormatError("TRANSVERSAL must list every nonidentity element")
     for entry in entries:
         el_str, _, word_text = entry.partition(" ")
-        try:
-            el = int(el_str)
-        except ValueError:
-            raise FormatError(f"bad transversal entry {entry!r}") from None
+        (el,) = ints([el_str], f"transversal element {el_str!r}")
         if not 1 <= el < group.order:
             raise FormatError(f"bad transversal element {el}")
         expected = pk.transversal_word(el)
@@ -371,19 +351,11 @@ def format_general_sk(sk: GeneralSecretKey) -> str:
 
 
 def parse_general_sk(text: str, pk: GeneralPublicKey) -> GeneralSecretKey:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "GHC-GENERAL-SK v1":
-        raise FormatError("expected header 'GHC-GENERAL-SK v1'")
+    lines = records(text)
+    header(lines, "GHC-GENERAL-SK v1")
     secrets: list[CyclicSecretKey] = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "FACTOR":
-            raise FormatError(f"bad secret factor line {line!r}")
-        try:
-            fi, p, q = int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
-            raise FormatError(f"bad secret factor line {line!r}") from None
+        fi, p, q = ints(header([line], "FACTOR", 3), f"secret factor line {line!r}")
         if fi != len(secrets) + 1:
             raise FormatError("factor lines must be numbered consecutively")
         if fi > pk.family.count:

@@ -15,7 +15,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import Error, FormatError
+from .errors import Error, FormatError, header, ints, records
 
 __all__ = [
     "NotAssociative",
@@ -231,12 +231,13 @@ def cyclic_group(m: int) -> FiniteGroup:
 
 
 def builtin_group(spec: str) -> FiniteGroup | None:
-    """Resolve builtin group names 'z<m>' and 'sym<k>'; None if unmatched."""
+    """Resolve builtin group names 'z<m>' and 'sym<k>' (m, k >= 1); None if
+    unmatched."""
     match = re.fullmatch(r"z(\d+)", spec)
-    if match:
+    if match and int(match.group(1)):
         return cyclic_group(int(match.group(1)))
     match = re.fullmatch(r"sym(\d+)", spec)
-    if match:
+    if match and int(match.group(1)):
         return sym(int(match.group(1)))
     return None
 
@@ -371,44 +372,30 @@ def format_group(G: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _logical_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+def read_group(lines: list[str], start: int = 0, name: str = "custom", *,
+               last: bool = False) -> tuple[FiniteGroup, int]:
+    """Read the group whose records (the format of :func:`format_group`)
+    begin at ``lines[start]``; returns it and the index of the record after
+    it.  With ``last`` nothing may follow the group."""
+    (order,) = ints(header(lines[start:start + 1], "GROUP v1", 1), "group order")
+    if order < 1:
+        raise FormatError("group order must be positive")
+    end = start + 1 + order
+    if len(lines) < end:
+        raise FormatError("truncated group table")
+    table = [ints(lines[i].split(), f"table row {i - start - 1}")
+             for i in range(start + 1, end)]
+    labels = None
+    if end < len(lines) and lines[end] == "LABELS":
+        labels = lines[end + 1:end + 1 + order]
+        end += 1 + order
+        if len(labels) != order:
+            raise FormatError("LABELS section must have one line per element")
+    if last and end < len(lines):
+        raise FormatError(f"unexpected content {lines[end]!r} after table")
+    return FiniteGroup(table, labels=labels, name=name), end
 
 
 def parse_group(text: str, name: str = "custom") -> FiniteGroup:
     """Parse the table file format produced by :func:`format_group`."""
-    lines = _logical_lines(text)
-    if not lines:
-        raise FormatError("empty group file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "GROUP" or header[1] != "v1":
-        raise FormatError(f"bad group header {lines[0]!r}")
-    try:
-        order = int(header[2])
-    except ValueError:
-        raise FormatError(f"bad group order {header[2]!r}") from None
-    if order < 1:
-        raise FormatError("group order must be positive")
-    if len(lines) < 1 + order:
-        raise FormatError("truncated group table")
-    table = []
-    for i in range(order):
-        row = lines[1 + i].split()
-        try:
-            table.append([int(x) for x in row])
-        except ValueError:
-            raise FormatError(f"non-integer entry in table row {i}") from None
-    rest = lines[1 + order:]
-    labels = None
-    if rest:
-        if rest[0] != "LABELS":
-            raise FormatError(f"unexpected content {rest[0]!r} after table")
-        labels = rest[1:]
-        if len(labels) != order:
-            raise FormatError("LABELS section must have one line per element")
-    return FiniteGroup(table, labels=labels, name=name)
+    return read_group(records(text), 0, name, last=True)[0]

@@ -145,3 +145,7 @@ class TestProgramFiles:
             parse_program("GPROG v1 sym5 2 0\n")  # identity target
         with pytest.raises(FormatError):
             parse_program("GPROG v1 sym5 2 1\n0 5\n")  # variable out of range
+        with pytest.raises(FormatError):
+            parse_program("GPROG v1 sym5 -1 5\n")  # negative input count
+        with pytest.raises(FormatError):
+            parse_program("GPROG v1 sym0 2 1\n")  # no group of order 0

@@ -137,6 +137,15 @@ class TestGeneralRoundtrip:
         assert rc == 0 and out.strip() == "(1 2 3)"
 
 
+    def test_key_with_leading_comment(self, sym3_dir, tmp_path, capsys):
+        plain = sym3_dir / "pk.txt"
+        commented = tmp_path / "pk.txt"
+        commented.write_text("# comment\n" + plain.read_text())
+        outs = [run(capsys, "encrypt", "--pk", str(pk), "--plain", "(1 2)",
+                    "--seed", "4") for pk in (plain, commented)]
+        assert outs[0][0] == 0 and outs[1] == outs[0]
+
+
 class TestCompileSimulate:
     def test_compile_and_simulate(self, tmp_path, capsys):
         prog = tmp_path / "maj3.gprog"
@@ -224,6 +233,13 @@ class TestExitCodes:
         rc, _, err = run(capsys, "decrypt", "--sk", "/nope", "--pk", "/nope",
                          "--cipher", "/nope")
         assert rc == 1 and "error" in err
+
+    @pytest.mark.parametrize("bits", ["0", "-5", "100000"])
+    def test_keygen_bits_out_of_range(self, tmp_path, capsys, bits):
+        rc, _, err = run(capsys, "keygen", "--group", "z4", "--bits", bits,
+                         "--seed", "1", "--out", str(tmp_path / "k"))
+        assert rc == 1 and err.startswith("error:"), err
+        assert "Traceback" not in err
 
     def test_bad_key_file(self, tmp_path, capsys):
         bad = tmp_path / "pk.txt"

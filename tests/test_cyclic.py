@@ -429,6 +429,13 @@ class TestKeyFiles:
         assert text == "GHC-CYCLIC-SK v1\np: 7\nq: 5\n"
         assert parse_cyclic_sk(text, pk) == sk
 
+    def test_comments_and_blank_lines(self, key35):
+        pk, sk = key35
+        pk_text = "# key35\nGHC-CYCLIC-PK v1\n\nm: 3  # order\nn: 35\nR: 1 17 9\n"
+        sk_text = "GHC-CYCLIC-SK v1  # secret\n#\np: 7\n\nq: 5\n"
+        assert parse_cyclic_pk(pk_text) == parse_cyclic_pk(format_cyclic_pk(pk))
+        assert parse_cyclic_sk(sk_text, pk) == parse_cyclic_sk(format_cyclic_sk(sk), pk)
+
     def test_bad_files(self):
         with pytest.raises(FormatError):
             parse_cyclic_pk("GHC-CYCLIC-SK v1\np: 7\nq: 5\n")

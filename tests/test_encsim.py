@@ -189,7 +189,8 @@ class TestGroupCircuits:
             "GCIRC v1\nINPUTS y1\nc = CONST (1 2)\nw = MUL y1 c\nOUTPUT w\n", H)
         assert circ.steps[1] == GConst(H.element_by_label("(1 2)").index)
         for bad in ("", "GCIRC v1\nINPUTS y1\n", "GCIRC v1\nINPUTS y1\nOUTPUT zz\n",
-                    "GCIRC v1\nINPUTS y1\nw = FROB y1\nOUTPUT w\n"):
+                    "GCIRC v1\nINPUTS y1\nw = FROB y1\nOUTPUT w\n",
+                    "GCIRC v1\nINPUTSX y1 y2\nw = MUL y1 y2\nOUTPUT w\n"):
             with pytest.raises(FormatError):
                 parse_group_circuit(bad, H)
 
@@ -347,3 +348,5 @@ class TestEncryptedProgramFiles:
             parse_encrypted_program("EPROG v1 2 0\n", pk)
         with pytest.raises(FormatError):
             parse_encrypted_program("EPROG v1 2 1\n9 e\n", pk)
+        with pytest.raises(FormatError):
+            parse_encrypted_program("EPROG v1 -1 1\n", pk)  # negative input count
