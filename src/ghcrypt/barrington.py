@@ -65,18 +65,24 @@ class GroupProgram:
         return len(self.instructions)
 
 
-def eval_program(p: GroupProgram, bits) -> GroupElement:
-    """Left-to-right product of the instruction elements selected by bits."""
+def _selected_product(p, bits, mul, identity):
+    """Left-to-right ``mul`` product, from ``identity``, of the instruction
+    values selected by bits; ``p`` is a plain or an encrypted program."""
     if len(bits) != p.input_count:
         raise ArityMismatch(
             f"expected {p.input_count} input bits, got {len(bits)}")
     extended = tuple(1 if b else 0 for b in bits) + (1,)
-    G = p.group
-    acc = G.identity
-    for element, var in p.instructions:
+    acc = identity
+    for value, var in p.instructions:
         if extended[var]:
-            acc = G.mul(acc, element)
-    return G.element(acc)
+            acc = mul(acc, value)
+    return acc
+
+
+def eval_program(p: GroupProgram, bits) -> GroupElement:
+    """Left-to-right product of the instruction elements selected by bits."""
+    G = p.group
+    return G.element(_selected_product(p, bits, G.mul, G.identity))
 
 
 def find_commutator_pair(H: FiniteGroup) -> tuple[GroupElement, GroupElement]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from math import gcd
 from pathlib import Path
 
 from .errors import Error, FormatError, ints, records
@@ -127,13 +126,13 @@ def _cmd_encrypt(args) -> int:
 
 
 def _parse_cyclic_cipher(text: str, pk) -> cyclic.CyclicCiphertext:
-    """One decimal line holding a unit in 1..n-1."""
+    """One decimal line holding an element of G(n, m) in 1..n-1."""
     tokens = " ".join(records(text)).split()
     if len(tokens) != 1:
         raise FormatError("cyclic ciphertext files hold one decimal line")
     (value,) = ints(tokens, "cyclic ciphertext")
-    if not 0 < value < pk.n or gcd(value, pk.n) != 1:
-        raise FormatError(f"ciphertext {value} is not a unit in 1..n-1")
+    if not 0 < value < pk.n or not cyclic.in_group_G(pk, value):
+        raise FormatError(f"ciphertext {value} is not in G(n, m) within 1..n-1")
     return cyclic.CyclicCiphertext(value)
 
 

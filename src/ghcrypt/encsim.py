@@ -1,9 +1,12 @@
 """Encrypted circuit simulation and the two interaction protocols.
 
-An encrypted program replaces every instruction element of a group program
-by a random encryption under a general public key; evaluating it on an
-assignment needs only public word arithmetic, and decrypting the resulting
-word with the trapdoor reveals target**B(x).
+An encrypted simulation is the plain computation run in the ciphertext
+group, with the trapdoor used only to decrypt.  An encrypted program
+replaces every instruction element of a group program by a random
+encryption under a general public key; the plain selected-product loop
+evaluates it over words, and decrypting the result reveals target**B(x).
+A circuit of group operations runs through one step interpreter, over H
+or over words with each constant encrypted afresh.
 
 Both protocols run in-process as role objects that exchange the exact
 serialized texts the CLI writes, so the transcripts are wire-ready:
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from .errors import Error, FormatError, header, ints, records
 from .groupcore import FiniteGroup, GroupElement
 from .circuit import ArityMismatch, Circuit
-from .barrington import GroupProgram, compile_barrington
+from .barrington import GroupProgram, _selected_product, compile_barrington
 from .freeprod import GWord, empty_word, format_gword, g_inverse, g_multiply, parse_gword
 from .general import (
     GeneralCiphertext,
@@ -45,8 +48,6 @@ __all__ = [
     "GInv",
     "GroupCircuit",
     "eval_group_circuit",
-    "lift_group_circuit",
-    "eval_lifted_circuit",
     "parse_group_circuit",
     "format_group_circuit",
     "Transcript",
@@ -103,15 +104,8 @@ def encrypt_program(pk: GeneralPublicKey, p: GroupProgram, rng: random.Random, *
 
 def eval_encrypted(ep: EncryptedProgram, bits) -> GeneralCiphertext:
     """Public evaluation: product of the selected ciphertext words."""
-    if len(bits) != ep.input_count:
-        raise ArityMismatch(
-            f"expected {ep.input_count} input bits, got {len(bits)}")
-    extended = tuple(1 if b else 0 for b in bits) + (1,)
-    acc = empty_word(ep.pk.family)
-    for word, var in ep.instructions:
-        if extended[var]:
-            acc = g_multiply(acc, word)
-    return GeneralCiphertext(acc)
+    return GeneralCiphertext(
+        _selected_product(ep, bits, g_multiply, empty_word(ep.pk.family)))
 
 
 def _output_bit(h: GroupElement, target: GroupElement) -> int:
@@ -165,7 +159,7 @@ class GInput:
 
 @dataclass(frozen=True)
 class GConst:
-    value: object  # element index in H-circuits, GWord after lifting
+    value: int  # element index in H
 
 
 @dataclass(frozen=True)
@@ -188,73 +182,35 @@ class GroupCircuit:
     output: int
 
 
-def eval_group_circuit(circ: GroupCircuit, inputs, H: FiniteGroup) -> GroupElement:
-    """Evaluate in H on a tuple of GroupElements."""
+def _run_steps(circ: GroupCircuit, inputs, const, mul, inv):
+    """Run the steps of circ on ``inputs`` and return the output value:
+    ``const(index)`` gives a constant's value, ``mul`` and ``inv`` the
+    operations.  Values are elements of H or ciphertext words alike."""
     if len(inputs) != circ.input_count:
         raise ArityMismatch(
             f"expected {circ.input_count} inputs, got {len(inputs)}")
-    values: list[int] = []
-    for step in circ.steps:
-        match step:
-            case GInput(index):
-                el = inputs[index]
-                if el.group is not H:
-                    raise GroupMismatch("input element from a different group")
-                values.append(el.index)
-            case GConst(value):
-                values.append(int(value))
-            case GMul(a, b):
-                values.append(H.mul(values[a], values[b]))
-            case GInv(a):
-                values.append(H.inverse(values[a]))
-            case _:
-                raise Error(f"unhandled step {step!r}")
-    return H.element(values[circ.output])
-
-
-def lift_group_circuit(pk: GeneralPublicKey, circ: GroupCircuit,
-                       rng: random.Random, *,
-                       phi_steps: int | None = None,
-                       psi_length: int | None = None) -> GroupCircuit:
-    """Replace every constant by a fresh encryption; structure is unchanged.
-
-    The lifted circuit evaluates over ciphertext words via
-    :func:`eval_lifted_circuit`.
-    """
-    steps = []
-    for step in circ.steps:
-        if isinstance(step, GConst):
-            element = pk.group.element(int(step.value))
-            steps.append(GConst(encrypt_general(
-                pk, element, rng,
-                phi_steps=phi_steps, psi_length=psi_length).word))
-        else:
-            steps.append(step)
-    return GroupCircuit(input_count=circ.input_count, steps=tuple(steps),
-                        output=circ.output)
-
-
-def eval_lifted_circuit(circ: GroupCircuit, inputs) -> GWord:
-    """Evaluate a lifted circuit on a tuple of ciphertext words."""
-    if len(inputs) != circ.input_count:
-        raise ArityMismatch(
-            f"expected {circ.input_count} inputs, got {len(inputs)}")
-    values: list[GWord] = []
+    values = []
     for step in circ.steps:
         match step:
             case GInput(index):
                 values.append(inputs[index])
             case GConst(value):
-                if not isinstance(value, GWord):
-                    raise GroupMismatch("circuit was not lifted (plain constant)")
-                values.append(value)
+                values.append(const(value))
             case GMul(a, b):
-                values.append(g_multiply(values[a], values[b]))
+                values.append(mul(values[a], values[b]))
             case GInv(a):
-                values.append(g_inverse(values[a]))
+                values.append(inv(values[a]))
             case _:
                 raise Error(f"unhandled step {step!r}")
     return values[circ.output]
+
+
+def eval_group_circuit(circ: GroupCircuit, inputs, H: FiniteGroup) -> GroupElement:
+    """Evaluate in H on a tuple of GroupElements."""
+    if any(el.group is not H for el in inputs):
+        raise GroupMismatch("input element from a different group")
+    indices = [el.index for el in inputs]
+    return H.element(_run_steps(circ, indices, int, H.mul, H.inverse))
 
 
 def format_group_circuit(circ: GroupCircuit) -> str:
@@ -270,7 +226,7 @@ def format_group_circuit(circ: GroupCircuit) -> str:
             case GConst(value):
                 counter += 1
                 names[i] = f"w{counter}"
-                lines.append(f"{names[i]} = CONST {int(value)}")
+                lines.append(f"{names[i]} = CONST {value}")
             case GMul(a, b):
                 counter += 1
                 names[i] = f"w{counter}"
@@ -368,16 +324,13 @@ class CircuitAlice:
 
     def __init__(self, sk: GeneralSecretKey, pk: GeneralPublicKey,
                  circuit: Circuit, rng: random.Random, *,
-                 phi_steps: int | None = None, psi_length: int | None = None,
-                 depth_cap: int = 12):
+                 phi_steps: int | None = None, psi_length: int | None = None):
         self.sk, self.pk, self.circuit, self.rng = sk, pk, circuit, rng
         self.phi_steps, self.psi_length = phi_steps, psi_length
-        self.depth_cap = depth_cap
         self._target: GroupElement | None = None
 
     def program_message(self) -> str:
-        program = compile_barrington(self.circuit, self.pk.group,
-                                     depth_cap=self.depth_cap)
+        program = compile_barrington(self.circuit, self.pk.group)
         self._target = self.pk.group.element(program.target)
         encrypted = encrypt_program(self.pk, program, self.rng,
                                     phi_steps=self.phi_steps,
@@ -455,12 +408,17 @@ class InputBob:
         self.phi_steps, self.psi_length = phi_steps, psi_length
 
     def evaluation_message(self, inputs_text: str) -> str:
-        words = [parse_gword(line, self.pk.family)
+        """Bob's circuit over Alice's words, constants encrypted in step order."""
+        pk = self.pk
+        words = [parse_gword(line, pk.family)
                  for line in inputs_text.strip().splitlines()]
-        lifted = lift_group_circuit(self.pk, self.circ, self.rng,
-                                    phi_steps=self.phi_steps,
-                                    psi_length=self.psi_length)
-        result = eval_lifted_circuit(lifted, tuple(words))
+
+        def const(index: int) -> GWord:
+            return encrypt_general(pk, pk.group.element(index), self.rng,
+                                   phi_steps=self.phi_steps,
+                                   psi_length=self.psi_length).word
+
+        result = _run_steps(self.circ, words, const, g_multiply, g_inverse)
         return format_gword(result) + "\n"
 
 

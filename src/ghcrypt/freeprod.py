@@ -22,7 +22,7 @@ of every partial product (quadratic in the length of the fold).
 Two epimorphisms are implemented on top of the words:
 
 * ``phi_map`` sends each letter to its coset index in the factor (this
-  needs the factor trapdoors) and lands in a free product of cyclic
+  needs the factor secret keys) and lands in a free product of cyclic
   groups, represented by :class:`KWord`;
 * ``psi_map`` evaluates a KWord in the target group: a left fold that
   multiplies in each run's power of its letter.
@@ -33,13 +33,16 @@ conjugated insertions.  ``p_phi`` evaluates witnesses, ``inverse_p_phi``
 reconstructs a witness for any kernel word using per-factor inversion
 oracles (the rotation recursion), and ``p_psi``/``combined_P`` complete
 the proof system used by the general cryptosystem.
+
+A :class:`FactorFamily` is public data: the calls that need trapdoors
+(``phi_map``, ``trapdoor_oracles``) take the factor secret keys.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import Error, FormatError
@@ -57,7 +60,6 @@ from .cyclic import (
 
 __all__ = [
     "LetterOutOfGroup",
-    "MissingTrapdoor",
     "GLetter",
     "FactorFamily",
     "GWord",
@@ -90,10 +92,6 @@ class LetterOutOfGroup(Error):
     """A letter value is not a member of its factor group."""
 
 
-class MissingTrapdoor(Error):
-    """The operation needs factor secret keys that are not available."""
-
-
 @dataclass(frozen=True)
 class GLetter:
     factor: int  # 1-based factor index
@@ -102,46 +100,28 @@ class GLetter:
 
 @dataclass(frozen=True)
 class FactorFamily:
-    """The factor groups G_1, ..., G_n, with optional trapdoors.
+    """The public factor groups G_1, ..., G_n; ``factors[i-1]`` is factor i.
 
-    Equality looks at the public factors only; attaching secrets does not
-    change which family a word belongs to.
+    The trapdoors are not part of a family: they are the factor secret
+    keys, held by the key owner and passed to the calls that need them.
     """
 
     factors: tuple[CyclicPublicKey, ...]
-    secrets: tuple[CyclicSecretKey, ...] | None = field(default=None, compare=False)
 
     @property
     def count(self) -> int:
         return len(self.factors)
 
-    def _check_index(self, i: int) -> None:
+    def public(self, i: int) -> CyclicPublicKey:
         if not 1 <= i <= len(self.factors):
             raise ValueError(f"factor index {i} out of range 1..{len(self.factors)}")
-
-    def public(self, i: int) -> CyclicPublicKey:
-        self._check_index(i)
         return self.factors[i - 1]
-
-    def secret(self, i: int) -> CyclicSecretKey:
-        self._check_index(i)
-        if self.secrets is None:
-            raise MissingTrapdoor("factor secret keys are not available")
-        return self.secrets[i - 1]
 
     def modulus(self, i: int) -> int:
         return self.public(i).n
 
     def order(self, i: int) -> int:
         return self.public(i).m
-
-    def with_secrets(self, secrets: tuple[CyclicSecretKey, ...]) -> "FactorFamily":
-        if len(secrets) != len(self.factors):
-            raise ValueError("secret count does not match factor count")
-        for pk, sk in zip(self.factors, secrets):
-            if sk.p * sk.q != pk.n or sk.m != pk.m:
-                raise ValueError("secret key does not match its factor")
-        return FactorFamily(self.factors, tuple(secrets))
 
 
 @dataclass(frozen=True)
@@ -302,28 +282,25 @@ def k_multiply(u: KWord, v: KWord) -> KWord:
     return kword_from_runs(u.runs + v.runs)
 
 
-def phi_map(g: GWord, *, family: FactorFamily | None = None,
+def phi_map(g: GWord, secrets: Sequence[CyclicSecretKey],
             symbols: Sequence[int] | None = None) -> KWord:
     """Image of a word under the factor-wise coset epimorphism.
 
-    Needs the factor trapdoors; pass ``family`` to supply a secret-bearing
-    copy of the word's family.  ``symbols[i-1]`` names the cyclic factor of
-    factor i in the image (defaults to the factor index itself).  Each
-    factor's transversal characters are computed once for the word (one
-    ``decrypt_cyclic`` list per factor), so a letter costs one power mod
-    its p_i, plus one mod q_i for even order.
+    ``secrets[i-1]`` is the secret key of factor i of the word's family
+    (the trapdoor; a general key's ``factors``).  ``symbols[i-1]`` names
+    the cyclic factor of factor i in the image (defaults to the factor
+    index itself).  Each factor's transversal characters are computed once
+    for the word (one ``decrypt_cyclic`` list per factor), so a letter
+    costs one power mod its p_i, plus one mod q_i for even order.
     """
-    fam = family if family is not None else g.family
-    if family is not None and family.factors != g.family.factors:
-        raise ValueError("family override does not match the word")
-    scans: dict[int, tuple[CyclicSecretKey, CyclicPublicKey, list[int]]] = {}
+    factors = g.family.factors
+    characters: dict[int, list[int]] = {}
     runs = []
     for letter in g.letters:
         i = letter.factor
-        if i not in scans:
-            scans[i] = (fam.secret(i), fam.public(i), [])
-        sk, pk, characters = scans[i]
-        e = decrypt_cyclic(sk, pk, CyclicCiphertext(letter.value), characters)
+        pk = factors[i - 1]
+        e = decrypt_cyclic(secrets[i - 1], pk, CyclicCiphertext(letter.value),
+                           characters.setdefault(i, []))
         if e:
             runs.append((symbols[i - 1] if symbols else i, e, pk.m))
     return kword_from_runs(runs)
@@ -526,27 +503,28 @@ def combined_P(family: FactorFamily, a: PhiWitness, b: PsiWitness) -> GWord:
 class _TrapdoorOracles(Sequence):
     """Per-factor oracles made on demand: item i-1 is factor i's oracle."""
 
-    def __init__(self, family: FactorFamily, rng: random.Random):
-        self._family, self._rng = family, rng
+    def __init__(self, family: FactorFamily, secrets: Sequence[CyclicSecretKey],
+                 rng: random.Random):
+        self._family, self._secrets, self._rng = family, secrets, rng
 
     def __len__(self) -> int:
         return self._family.count
 
     def __getitem__(self, idx: int) -> FactorOracle:
-        pk, sk = self._family.factors[idx], self._family.secrets[idx]
+        pk, sk = self._family.factors[idx], self._secrets[idx]
         rng = self._rng
         return lambda value: inverse_P_cyclic(sk, pk, value, rng)
 
 
-def trapdoor_oracles(family: FactorFamily, rng: random.Random) -> Sequence[FactorOracle]:
-    """Honest per-factor inversion oracles built from the trapdoors.
+def trapdoor_oracles(family: FactorFamily, secrets: Sequence[CyclicSecretKey],
+                     rng: random.Random) -> Sequence[FactorOracle]:
+    """Honest per-factor inversion oracles built from the factor secret
+    keys, ``secrets[i-1]`` for factor i of ``family``.
 
     Construction is O(1): a factor's oracle is made when it is indexed, so
     a word that touches few factors of a large family pays for those only.
     """
-    if family.secrets is None:
-        raise MissingTrapdoor("factor secret keys are not available")
-    return _TrapdoorOracles(family, rng)
+    return _TrapdoorOracles(family, secrets, rng)
 
 
 # ---------------------------------------------------------------------------

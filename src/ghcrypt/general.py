@@ -57,7 +57,6 @@ __all__ = [
     "mult_ciphertexts_general",
     "sample_A",
     "inverse_P_general",
-    "secret_family",
     "format_general_pk",
     "parse_general_pk",
     "format_general_sk",
@@ -130,11 +129,6 @@ class GeneralCiphertext:
 
     def __len__(self) -> int:
         return len(self.word)
-
-
-def secret_family(pk: GeneralPublicKey, sk: GeneralSecretKey) -> FactorFamily:
-    """The key's factor family with the trapdoors attached (validated)."""
-    return pk.family.with_secrets(sk.factors)
 
 
 def _require_key_family(pk: GeneralPublicKey, word: GWord) -> None:
@@ -234,7 +228,7 @@ def decrypt_general(sk: GeneralSecretKey, pk: GeneralPublicKey,
                     c: GeneralCiphertext) -> GroupElement:
     """Evaluate the trapdoor epimorphism on a ciphertext word."""
     _require_key_family(pk, c.word)
-    k = phi_map(c.word, family=secret_family(pk, sk), symbols=pk.generators)
+    k = phi_map(c.word, sk.factors, pk.generators)
     return psi_map(k, pk.group)
 
 
@@ -252,19 +246,18 @@ def inverse_P_general(sk: GeneralSecretKey, pk: GeneralPublicKey, g: GWord,
     On success ``combined_P`` maps the returned pair back to g.
     """
     _require_key_family(pk, g)
-    fam = secret_family(pk, sk)
     r = PsiWitness(())
     # psi is injective on one factor, so a word of at most one letter is in
     # the kernel exactly when inverse_p_phi finds a root for its letter
     if len(g) > 1:
-        k = phi_map(g, family=fam, symbols=pk.generators)
+        k = phi_map(g, sk.factors, pk.generators)
         if psi_map(k, pk.group).index != pk.group.identity:
             return None
         # lift the image word to transversal letters, one per run
         r = PsiWitness(tuple(PsiLetter(pk.coordinates[symbol][0], exponent)
                              for symbol, exponent, _ in k.runs))
-    kernel_part = g_multiply(GWord(fam, g.letters), g_inverse(p_psi(fam, r)))
-    witness, tail = inverse_p_phi(kernel_part, trapdoor_oracles(fam, rng))
+    kernel_part = g_multiply(g, g_inverse(p_psi(pk.family, r)))
+    witness, tail = inverse_p_phi(kernel_part, trapdoor_oracles(pk.family, sk.factors, rng))
     if tail.is_identity:
         return witness, r
     if len(g) <= 1:
@@ -360,13 +353,13 @@ def parse_general_sk(text: str, pk: GeneralPublicKey) -> GeneralSecretKey:
             raise FormatError("factor lines must be numbered consecutively")
         if fi > pk.family.count:
             raise FormatError("more secret factors than public factors")
+        fpk = pk.family.public(fi)
         try:
-            secrets.append(CyclicSecretKey.from_primes(p, q, pk.family.order(fi)))
+            secrets.append(CyclicSecretKey.from_primes(p, q, fpk.m))
         except ValueError as exc:
             raise FormatError(f"factor {fi}: {exc}") from None
-    sk = GeneralSecretKey(tuple(secrets))
-    try:
-        secret_family(pk, sk)  # validates moduli against the public key
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    return sk
+        if p * q != fpk.n:
+            raise FormatError(f"factor {fi}: secret key does not match its factor")
+    if len(secrets) != pk.family.count:
+        raise FormatError("secret count does not match factor count")
+    return GeneralSecretKey(tuple(secrets))

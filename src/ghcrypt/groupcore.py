@@ -57,6 +57,10 @@ class TooLarge(Error):
     """Requested group exceeds the Cayley-table size guard."""
 
 
+# tables are built whole, so both builtin families stop at |sym(6)| = 720
+_MAX_BUILTIN_ORDER = 720
+
+
 class FiniteGroup:
     """Immutable finite group defined by its multiplication table."""
 
@@ -226,6 +230,8 @@ def cyclic_group(m: int) -> FiniteGroup:
     """Additive cyclic group of order m; element i is the residue i."""
     if m < 1:
         raise ValueError("m must be at least 1")
+    if m > _MAX_BUILTIN_ORDER:
+        raise TooLarge(f"cyclic_group(m) is limited to m <= {_MAX_BUILTIN_ORDER}")
     table = [[(i + j) % m for j in range(m)] for i in range(m)]
     return FiniteGroup(table, labels=[str(i) for i in range(m)], name=f"z{m}")
 

@@ -29,9 +29,15 @@ def key77():
 
 @pytest.fixture(scope="session")
 def small_family(key35, key77):
-    """Two-factor family (orders 3 and 2) with trapdoors attached."""
-    (pk1, sk1), (pk2, sk2) = key35, key77
-    return FactorFamily((pk1, pk2), (sk1, sk2))
+    """Two-factor family (orders 3 and 2); ``small_secrets`` holds its
+    trapdoors."""
+    return FactorFamily((key35[0], key77[0]))
+
+
+@pytest.fixture(scope="session")
+def small_secrets(key35, key77):
+    """The factor secret keys of ``small_family``."""
+    return (key35[1], key77[1])
 
 
 @pytest.fixture(scope="session")

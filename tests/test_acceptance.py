@@ -200,7 +200,7 @@ def family_for_words():
     pk1, sk1 = keygen_cyclic(3, 4, random.Random(0), primes=(7, 5), base=17)
     pk2, sk2 = keygen_cyclic(2, 4, random.Random(0), primes=(7, 11), base=6)
     pk3, sk3 = keygen_cyclic(2, 4, random.Random(0), primes=(11, 13))
-    return FactorFamily((pk1, pk2, pk3), (sk1, sk2, sk3))
+    return FactorFamily((pk1, pk2, pk3)), (sk1, sk2, sk3)
 
 
 def _random_raw(family, rng, max_len=10):
@@ -236,7 +236,7 @@ def _fixpoint_normalize(family, raw):
 
 
 def test_06_free_product_calculus(family_for_words):
-    family = family_for_words
+    family, secrets = family_for_words
     rng = random.Random("c6")
     for _ in range(10_000):
         raw = _random_raw(family, rng)
@@ -246,7 +246,8 @@ def test_06_free_product_calculus(family_for_words):
     for _ in range(1000):
         u = normalize(family, _random_raw(family, rng))
         v = normalize(family, _random_raw(family, rng))
-        assert phi_map(g_multiply(u, v)) == k_multiply(phi_map(u), phi_map(v))
+        assert (phi_map(g_multiply(u, v), secrets)
+                == k_multiply(phi_map(u, secrets), phi_map(v, secrets)))
     # exhaustive rewriting check over Sym(3) for words of length <= 8
     H = sym(3)
     orders = {i: H.order_of(i) for i in range(1, 6)}
@@ -275,13 +276,13 @@ def test_06_free_product_calculus(family_for_words):
 
 
 def test_07_kernel_witness_contract(family_for_words):
-    family = family_for_words
+    family, secrets = family_for_words
     rng = random.Random("c7")
 
     class Counting:
         def __init__(self):
             self.calls = 0
-            self.inner = trapdoor_oracles(family, rng)
+            self.inner = trapdoor_oracles(family, secrets, rng)
 
         def __getitem__(self, idx):
             def wrapped(v):
@@ -305,7 +306,7 @@ def test_07_kernel_witness_contract(family_for_words):
         i = rng.randrange(1, family.count + 1)
         bad = g_multiply(p_phi(family, w), normalize(
             family, [(i, random_nonkernel_value(family, i, rng))]))
-        a, t = inverse_p_phi(bad, trapdoor_oracles(family, rng))
+        a, t = inverse_p_phi(bad, trapdoor_oracles(family, secrets, rng))
         assert not t.is_identity
     report(7, "kernel witness contract",
            "10^3 kernel + 10^3 non-kernel words, call bound |g|^2 held")

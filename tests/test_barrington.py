@@ -18,7 +18,7 @@ from ghcrypt.barrington import (
     format_program,
     parse_program,
 )
-from ghcrypt.groupcore import cyclic_group, sym
+from ghcrypt.groupcore import TooLarge, cyclic_group, sym
 
 DATA = Path(__file__).parent / "data"
 
@@ -149,3 +149,5 @@ class TestProgramFiles:
             parse_program("GPROG v1 sym5 -1 5\n")  # negative input count
         with pytest.raises(FormatError):
             parse_program("GPROG v1 sym0 2 1\n")  # no group of order 0
+        with pytest.raises(TooLarge):
+            parse_program("GPROG v1 z20000 1 1\n")  # beyond the table guard

@@ -316,6 +316,33 @@ class TestExitCodes:
             assert "Traceback" not in err
             assert not out.exists()
 
+    def test_cyclic_cipher_outside_group(self, tmp_path, capsys):
+        # z4 has even order: a unit of Jacobi symbol -1 is not in G(n, m)
+        from ghcrypt.numtheory import jacobi
+
+        keys = tmp_path / "z4"
+        assert run(capsys, "keygen", "--group", "z4", "--bits", "16",
+                   "--seed", "1", "--out", str(keys))[0] == 0
+        n = int((keys / "pk.txt").read_text().split("n:")[1].split()[0])
+        assert jacobi(3, n) == -1
+        bad = tmp_path / "bad"
+        bad.write_text("3\n")
+        out = tmp_path / "out"
+        for argv in (("hommul", "--pk", str(keys / "pk.txt"), str(bad), str(bad),
+                      "--out", str(out)),
+                     ("decrypt", "--sk", str(keys / "sk.txt"),
+                      "--pk", str(keys / "pk.txt"), "--cipher", str(bad))):
+            rc, stdout, err = run(capsys, *argv)
+            assert rc == 1 and err.startswith("error:"), (argv[0], err)
+            assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    def test_keygen_group_beyond_table_guard(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "keygen", "--group", "z20000", "--bits", "16",
+                         "--seed", "1", "--out", str(tmp_path / "k"))
+        assert rc == 1 and err.startswith("error:"), err
+        assert "Traceback" not in err
+
 
 def test_module_entry_point(tmp_path):
     """``python -m ghcrypt.cli`` runs the command, as ``ghcrypt`` does."""

@@ -13,6 +13,7 @@ from ghcrypt.general import (
     encrypt_general,
     keygen_general,
 )
+from ghcrypt.freeprod import format_gword, parse_gword
 from ghcrypt.groupcore import sym
 from ghcrypt.encsim import (
     CircuitAlice,
@@ -30,11 +31,9 @@ from ghcrypt.encsim import (
     encrypt_program,
     eval_encrypted,
     eval_group_circuit,
-    eval_lifted_circuit,
     format_encrypted_program,
     format_group_circuit,
     format_transcript,
-    lift_group_circuit,
     parse_encrypted_program,
     parse_group_circuit,
     protocol_encrypted_circuit,
@@ -194,18 +193,18 @@ class TestGroupCircuits:
             with pytest.raises(FormatError):
                 parse_group_circuit(bad, H)
 
-    def test_lift_constant_free_is_structural(self, sym3_keys):
-        pk, _ = sym3_keys
-        circ = self.make_mul()
-        lifted = lift_group_circuit(pk, circ, random.Random(0), **SMALL)
-        assert lifted == circ
+    def bob_eval(self, pk, circ, words, rng):
+        """Bob's evaluation over words, the circuit lifted to ciphertexts."""
+        bob = InputBob(pk, circ, rng, **SMALL)
+        text = "".join(format_gword(w) + "\n" for w in words)
+        return parse_gword(bob.evaluation_message(text), pk.family)
 
     def test_lift_encrypts_constants(self, sym3_keys):
         pk, sk = sym3_keys
         circ = GroupCircuit(0, (GConst(4),), 0)
-        lifted = lift_group_circuit(pk, circ, random.Random(1), **SMALL)
-        const = lifted.steps[0].value
-        assert decrypt_general(sk, pk, GeneralCiphertext(const)).index == 4
+        got = self.bob_eval(pk, circ, (), random.Random(1))
+        want = eval_group_circuit(circ, (), pk.group)
+        assert decrypt_general(sk, pk, GeneralCiphertext(got)).index == want.index == 4
 
     def test_lifted_eval_compatible(self, sym3_keys):
         pk, sk = sym3_keys
@@ -216,17 +215,10 @@ class TestGroupCircuits:
         for _ in range(10):
             a, b = H.element(rng.randrange(6)), H.element(rng.randrange(6))
             want = eval_group_circuit(circ, (a, b), H)
-            lifted = lift_group_circuit(pk, circ, rng, **SMALL)
             za = encrypt_general(pk, a, rng, **SMALL).word
             zb = encrypt_general(pk, b, rng, **SMALL).word
-            got = eval_lifted_circuit(lifted, (za, zb))
+            got = self.bob_eval(pk, circ, (za, zb), rng)
             assert decrypt_general(sk, pk, GeneralCiphertext(got)).index == want.index
-
-    def test_unlifted_constant_rejected(self, sym3_keys):
-        pk, _ = sym3_keys
-        circ = GroupCircuit(0, (GConst(4),), 0)
-        with pytest.raises(GroupMismatch):
-            eval_lifted_circuit(circ, ())
 
 
 class TestProtocolCircuit:

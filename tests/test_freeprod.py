@@ -3,15 +3,13 @@ import random
 
 import pytest
 
-from ghcrypt.cyclic import OracleFailure, is_mth_power, keygen_cyclic
+from ghcrypt.cyclic import OracleFailure, is_mth_power
 from ghcrypt.errors import FormatError
 from ghcrypt.freeprod import (
-    FactorFamily,
     GLetter,
     GWord,
     KWord,
     LetterOutOfGroup,
-    MissingTrapdoor,
     PhiLetter,
     PhiWitness,
     PsiLetter,
@@ -35,7 +33,6 @@ from ghcrypt.freeprod import (
     trapdoor_oracles,
 )
 from ghcrypt.freeprod import _join
-from ghcrypt.general import secret_family
 from ghcrypt.groupcore import cyclic_group, sym
 
 
@@ -76,17 +73,6 @@ def random_raw_word(family, rng, max_len=12):
         i = rng.randrange(1, family.count + 1)
         letters.append((i, random_value(family, i, rng)))
     return letters
-
-
-@pytest.fixture(scope="module")
-def toy_family():
-    """Single odd-order factor with tiny modulus for pinned arithmetic."""
-    pk = keygen_cyclic(3, 4, random.Random(0), primes=(7, 5), base=17,
-                       randomize_transversal=False)[0]
-    # a second-factor alias with a distinct modulus
-    pk2 = keygen_cyclic(2, 4, random.Random(0), primes=(7, 11), base=6,
-                        randomize_transversal=False)[0]
-    return FactorFamily((pk, pk2))
 
 
 class TestNormalize:
@@ -238,28 +224,24 @@ class TestSeamMerge:
 
 
 class TestPhi:
-    def test_empty(self, small_family):
-        assert phi_map(empty_word(small_family)).is_identity
+    def test_empty(self, small_family, small_secrets):
+        assert phi_map(empty_word(small_family), small_secrets).is_identity
 
-    def test_kernel_letter_vanishes(self, small_family):
+    def test_kernel_letter_vanishes(self, small_family, small_secrets):
         w = normalize(small_family, [(1, 8)])  # 8 = 2^3
-        assert phi_map(w).is_identity
+        assert phi_map(w, small_secrets).is_identity
 
-    def test_single_letter_exponent(self, small_family):
+    def test_single_letter_exponent(self, small_family, small_secrets):
         # 17 represents coset 1, 9 = 17^2 coset 2
-        assert phi_map(normalize(small_family, [(1, 17)])).runs == ((1, 1, 3),)
-        assert phi_map(normalize(small_family, [(1, 9)])).runs == ((1, 2, 3),)
+        assert phi_map(normalize(small_family, [(1, 17)]), small_secrets).runs == ((1, 1, 3),)
+        assert phi_map(normalize(small_family, [(1, 9)]), small_secrets).runs == ((1, 2, 3),)
 
-    def test_missing_trapdoor(self, toy_family):
-        with pytest.raises(MissingTrapdoor):
-            phi_map(normalize(toy_family, [(1, 17)]))
-
-    def test_homomorphism_law(self, small_family, rng):
+    def test_homomorphism_law(self, small_family, small_secrets, rng):
         for _ in range(300):
             u = normalize(small_family, random_raw_word(small_family, rng))
             v = normalize(small_family, random_raw_word(small_family, rng))
-            lhs = phi_map(g_multiply(u, v))
-            rhs = k_multiply(phi_map(u), phi_map(v))
+            lhs = phi_map(g_multiply(u, v), small_secrets)
+            rhs = k_multiply(phi_map(u, small_secrets), phi_map(v, small_secrets))
             assert lhs == rhs
 
 
@@ -277,21 +259,21 @@ def long_raw_word(family, rng, length):
 
 
 class TestPhiLongWords:
-    def test_matches_per_letter_reference(self, small_family, sym3_keys):
+    def test_matches_per_letter_reference(self, small_family, small_secrets, sym3_keys):
         pk, sk = sym3_keys
         rng = random.Random(71)
-        for family, symbols in ((small_family, None),
-                                (secret_family(pk, sk), pk.generators)):
+        for family, secrets, symbols in ((small_family, small_secrets, None),
+                                         (pk.family, sk.factors, pk.generators)):
             for _ in range(5):
                 w = normalize(family, long_raw_word(family, rng, 600))
                 assert len(w) > 60 * family.count
                 want = kword_from_runs(
                     (symbols[l.factor - 1] if symbols else l.factor,
-                     reference_coset(family.secret(l.factor),
+                     reference_coset(secrets[l.factor - 1],
                                      family.public(l.factor), l.value),
                      family.order(l.factor))
                     for l in w.letters)
-                assert phi_map(w, symbols=symbols) == want
+                assert phi_map(w, secrets, symbols) == want
 
 
 class TestKWord:
@@ -404,11 +386,11 @@ class TestPPhi:
             with pytest.raises(ValueError):
                 p_phi(small_family, PhiWitness((PhiLetter(3, 2, is_a0),), 1))
 
-    def test_witness_lands_in_kernel(self, small_family, rng):
+    def test_witness_lands_in_kernel(self, small_family, small_secrets, rng):
         for _ in range(100):
             w = random_phi_witness(small_family, rng.randrange(8), rng)
             g = p_phi(small_family, w)
-            assert phi_map(g).is_identity
+            assert phi_map(g, small_secrets).is_identity
 
 
 class TestRandomWitness:
@@ -420,18 +402,18 @@ class TestRandomWitness:
         w = random_phi_witness(small_family, 5, rng)
         assert w.depth == 5
 
-    def test_nonkernel_values_are_nonkernel(self, small_family, rng):
+    def test_nonkernel_values_are_nonkernel(self, small_family, small_secrets, rng):
         for i in (1, 2):
             for _ in range(50):
                 v = random_nonkernel_value(small_family, i, rng)
                 w = normalize(small_family, [(i, v)])
-                assert not phi_map(w).is_identity
+                assert not phi_map(w, small_secrets).is_identity
 
 
 class CountingOracles:
-    def __init__(self, family, rng):
+    def __init__(self, family, secrets, rng):
         self.calls = 0
-        self._inner = trapdoor_oracles(family, rng)
+        self._inner = trapdoor_oracles(family, secrets, rng)
 
     def __getitem__(self, idx):
         def wrapped(value):
@@ -444,40 +426,41 @@ class CountingOracles:
 
 
 class TestInversePPhi:
-    def test_empty_word(self, small_family, rng):
-        a, t = inverse_p_phi(empty_word(small_family), trapdoor_oracles(small_family, rng))
+    def test_empty_word(self, small_family, small_secrets, rng):
+        a, t = inverse_p_phi(empty_word(small_family),
+                             trapdoor_oracles(small_family, small_secrets, rng))
         assert len(a) == 0 and t.is_identity
 
-    def test_single_nonkernel_letter(self, small_family, rng):
+    def test_single_nonkernel_letter(self, small_family, small_secrets, rng):
         g = normalize(small_family, [(1, 17)])
-        a, t = inverse_p_phi(g, trapdoor_oracles(small_family, rng))
+        a, t = inverse_p_phi(g, trapdoor_oracles(small_family, small_secrets, rng))
         assert len(a) == 0 and t == g
 
-    def test_single_kernel_letter(self, small_family, rng):
+    def test_single_kernel_letter(self, small_family, small_secrets, rng):
         g = normalize(small_family, [(1, 8)])
-        a, t = inverse_p_phi(g, trapdoor_oracles(small_family, rng))
+        a, t = inverse_p_phi(g, trapdoor_oracles(small_family, small_secrets, rng))
         assert t.is_identity
         assert len(a) == 1 and a.letters[0].is_a0
         assert p_phi(small_family, a) == g
 
-    def test_kernel_roundtrip_and_call_bound(self, small_family, rng):
+    def test_kernel_roundtrip_and_call_bound(self, small_family, small_secrets, rng):
         for _ in range(200):
             w = random_phi_witness(small_family, rng.randrange(6), rng)
             g = p_phi(small_family, w)
-            oracles = CountingOracles(small_family, rng)
+            oracles = CountingOracles(small_family, small_secrets, rng)
             a, t = inverse_p_phi(g, oracles)
             assert t.is_identity
             assert p_phi(small_family, a) == g
             assert oracles.calls <= max(1, len(g)) ** 2
 
-    def test_nonkernel_detected(self, small_family, rng):
+    def test_nonkernel_detected(self, small_family, small_secrets, rng):
         for _ in range(200):
             w = random_phi_witness(small_family, rng.randrange(4), rng)
             g = p_phi(small_family, w)
             i = rng.randrange(1, small_family.count + 1)
             bad = g_multiply(g, normalize(
                 small_family, [(i, random_nonkernel_value(small_family, i, rng))]))
-            a, t = inverse_p_phi(bad, trapdoor_oracles(small_family, rng))
+            a, t = inverse_p_phi(bad, trapdoor_oracles(small_family, small_secrets, rng))
             assert not t.is_identity
             assert len(a) == 0
 
@@ -487,7 +470,7 @@ class TestInversePPhi:
         with pytest.raises(OracleFailure):
             inverse_p_phi(g, bad_oracles)
 
-    def test_factor_extraction(self, small_family, rng):
+    def test_factor_extraction(self, small_family, small_secrets, rng):
         # flattening the factor-1 preimage letters of a witness for a
         # factor-1 kernel element gives a direct single-letter preimage
         for _ in range(200):
@@ -498,7 +481,7 @@ class TestInversePPhi:
             g = normalize(small_family, [(1, pow(a_val, 3, 35))])
             if g.is_identity:
                 continue
-            witness, t = inverse_p_phi(g, trapdoor_oracles(small_family, rng))
+            witness, t = inverse_p_phi(g, trapdoor_oracles(small_family, small_secrets, rng))
             assert t.is_identity
             product = 1
             for letter in witness.letters:
@@ -515,12 +498,12 @@ class TestPsiWitness:
         w = PsiWitness((PsiLetter(1, 1),))
         assert p_psi(small_family, w).letters == (GLetter(1, 17),)
 
-    def test_cancelling_pair_maps_to_identity_class(self, small_family):
+    def test_cancelling_pair_maps_to_identity_class(self, small_family, small_secrets):
         # 17 (class 1) then 9 (class 2): product has class 0 under phi
         w = PsiWitness((PsiLetter(1, 1), PsiLetter(1, 2)))
         g = p_psi(small_family, w)
         assert len(g) <= 2
-        assert phi_map(g).is_identity
+        assert phi_map(g, small_secrets).is_identity
 
     def test_index_range(self, small_family):
         with pytest.raises(ValueError):
@@ -535,10 +518,10 @@ class TestCombinedP:
         b = PsiWitness((PsiLetter(2, 1),))
         assert combined_P(small_family, PhiWitness((), 0), b) == p_psi(small_family, b)
 
-    def test_random_witness_in_phi_kernel(self, small_family, rng):
+    def test_random_witness_in_phi_kernel(self, small_family, small_secrets, rng):
         a = random_phi_witness(small_family, 4, rng)
         g = combined_P(small_family, a, PsiWitness(()))
-        assert phi_map(g).is_identity
+        assert phi_map(g, small_secrets).is_identity
 
 
 class TestTextEncoding:

@@ -21,7 +21,6 @@ from ghcrypt.general import (
     parse_general_pk,
     parse_general_sk,
     sample_A,
-    secret_family,
 )
 from ghcrypt.groupcore import cyclic_group, group_from_table
 from ghcrypt.numtheory import jacobi
@@ -183,12 +182,12 @@ class TestSampleA:
 
     def test_pairs_map_into_kernel(self, sym3_keys, z6_keys):
         for pk, sk in (sym3_keys, z6_keys):
-            fam = secret_family(pk, sk)
+            fam = pk.family
             rng = random.Random(4)
             for _ in range(40):
                 a, b = sample_A(pk, rng, phi_steps=3, psi_length=2)
                 word = combined_P(fam, a, b)
-                k = phi_map(word, family=fam, symbols=pk.generators)
+                k = phi_map(word, sk.factors, pk.generators)
                 assert psi_map(k, pk.group).index == 0
 
 
@@ -203,7 +202,7 @@ class TestInverseP:
 
     def test_kernel_word_reproduced(self, sym3_keys):
         pk, sk = sym3_keys
-        fam = secret_family(pk, sk)
+        fam = pk.family
         rng = random.Random(31)
         H = pk.group
         for _ in range(200):
@@ -223,7 +222,7 @@ class TestInverseP:
 
     def test_one_factor_key(self, z6_keys):
         pk, sk = z6_keys
-        fam = secret_family(pk, sk)
+        fam = pk.family
         rng = random.Random(15)
         c = encrypt_general(pk, pk.group.element(0), rng)
         res = inverse_P_general(sk, pk, c.word, rng)
@@ -250,13 +249,13 @@ class TestInverseP:
         # deciding one-letter kernel membership through the full inversion
         # matches the factor trapdoor answer
         pk, sk = sym3_keys
-        fam = secret_family(pk, sk)
+        fam = pk.family
         rng = random.Random(8)
         from ghcrypt.cyclic import is_mth_power, random_unit
         from ghcrypt.freeprod import normalize
         for _ in range(500):
             i = rng.randrange(1, 6)
-            fpk, fsk = fam.public(i), fam.secret(i)
+            fpk, fsk = fam.public(i), sk.factors[i - 1]
             v = random_unit(fpk.n, rng)
             if fpk.m % 2 == 0:
                 v = v * v % fpk.n  # stay inside the Jacobi-1 group

@@ -332,6 +332,12 @@ class TestBuiltinsAndFiles:
         assert builtin_group("sym3").order == 6
         assert builtin_group("weird") is None
 
+    def test_cyclic_table_guard(self):
+        # both builtin families stop at 720 elements, the order of sym(6)
+        with pytest.raises(TooLarge):
+            builtin_group("z721")
+        assert builtin_group("z720").order == 720
+
     def test_format_parse_roundtrip(self):
         for G in (sym(3), cyclic_group(5)):
             text = format_group(G)
