@@ -13,14 +13,12 @@ from .groupcore import (
     GroupElement,
     builtin_group,
     cyclic_group,
-    group_from_table,
     sym,
 )
 from .cyclic import (
     CyclicCiphertext,
     CyclicPublicKey,
     CyclicSecretKey,
-    FactorInstance,
     decrypt_cyclic,
     encrypt_cyclic,
     factor_via_inverse_oracle,
@@ -57,12 +55,10 @@ __all__ = [
     "GroupElement",
     "builtin_group",
     "cyclic_group",
-    "group_from_table",
     "sym",
     "CyclicCiphertext",
     "CyclicPublicKey",
     "CyclicSecretKey",
-    "FactorInstance",
     "keygen_cyclic",
     "encrypt_cyclic",
     "decrypt_cyclic",

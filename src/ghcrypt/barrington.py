@@ -30,10 +30,13 @@ __all__ = [
     "format_program",
     "parse_program",
     "SIZE_BASE",
+    "DEPTH_CAP",
 ]
 
 # compiled size is asserted against SIZE_BASE * 4**depth
 SIZE_BASE = 3
+# deeper circuits are rejected (DepthExceeded) before any instruction is built
+DEPTH_CAP = 12
 
 
 class SolvableGroup(Error):
@@ -45,7 +48,7 @@ class NoCommutatorPair(Error):
 
 
 class DepthExceeded(Error):
-    """Circuit depth exceeds the configured compilation cap."""
+    """Circuit depth exceeds DEPTH_CAP."""
 
 
 @dataclass(frozen=True)
@@ -122,17 +125,17 @@ def _recode(H: FiniteGroup, instrs, src: int, dst: int, cache: dict):
     return tuple((H.mul(H.mul(c, el), ci), var) for el, var in instrs)
 
 
-def compile_barrington(c: Circuit, H: FiniteGroup, *, depth_cap: int = 12) -> GroupProgram:
+def compile_barrington(c: Circuit, H: FiniteGroup) -> GroupProgram:
     """Compile a circuit into a group program with target a fixed 5-cycle.
 
     Program size is bounded by SIZE_BASE * 4**depth(c); depths beyond
-    ``depth_cap`` are rejected rather than silently truncated.
+    DEPTH_CAP are rejected rather than silently truncated.
     """
     if is_solvable(H):
         raise SolvableGroup(f"{H.name} is solvable")
     depth = circuit_depth(c)
-    if depth > depth_cap:
-        raise DepthExceeded(f"circuit depth {depth} exceeds cap {depth_cap}")
+    if depth > DEPTH_CAP:
+        raise DepthExceeded(f"circuit depth {depth} exceeds cap {DEPTH_CAP}")
     sigma, tau = find_commutator_pair(H)
     alpha, beta = sigma.index, tau.index
     gamma = H.mul(H.mul(alpha, beta),

@@ -1,4 +1,4 @@
-"""Boolean-circuit DSL: parser, printer, depth analysis, and evaluator.
+"""Boolean-circuit DSL: parser, depth analysis, and evaluator.
 
 Grammar (one statement per line, ``#`` starts a comment):
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import Error, records
+from .errors import Error
 
 __all__ = [
     "CircuitSyntaxError",
@@ -31,10 +31,8 @@ __all__ = [
     "Gate",
     "Circuit",
     "parse_circuit",
-    "format_circuit",
     "circuit_depth",
     "eval_circuit",
-    "logic_gate_count",
 ]
 
 
@@ -97,17 +95,16 @@ Gate = Input | Const | And | Or | Not
 class Circuit:
     input_count: int
     gates: tuple[Gate, ...]
-    wire_names: tuple[str, ...]
     output: int
 
 
 _IDENT = re.compile(r"[a-z][a-z0-9_]*")
+_TOKEN = re.compile(r"\S+")
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text; raises the grammar errors documented above."""
     gates: list[Gate] = []
-    names: list[str] = []
     table: dict[str, int] = {}
     input_count = 0
     output: int | None = None
@@ -123,7 +120,10 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitSyntaxError(f"bad identifier {token!r}", lineno, col)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = " ".join(records(raw)).split()  # one line: at most one record
+        # '#' starts a comment, as in errors.records; columns are 1-based
+        found = list(_TOKEN.finditer(raw.split("#", 1)[0]))
+        tokens = [m.group() for m in found]
+        columns = [m.start() + 1 for m in found]
         if not tokens:
             continue
         if output is not None:
@@ -134,12 +134,11 @@ def parse_circuit(text: str) -> Circuit:
             if len(tokens) == 1:
                 raise CircuitSyntaxError("INPUTS needs at least one name", lineno)
             saw_inputs = True
-            for tok in tokens[1:]:
-                check_ident(tok, lineno, raw.index(tok) + 1)
+            for tok, col in zip(tokens[1:], columns[1:]):
+                check_ident(tok, lineno, col)
                 if tok in table:
                     raise DuplicateWire(f"line {lineno}: wire {tok!r} redefined")
                 table[tok] = len(gates)
-                names.append(tok)
                 gates.append(Input(input_count))
                 input_count += 1
             continue
@@ -151,7 +150,7 @@ def parse_circuit(text: str) -> Circuit:
         if len(tokens) < 3 or tokens[1] != "=":
             raise CircuitSyntaxError("expected '<wire> = <op> ...'", lineno)
         name = tokens[0]
-        check_ident(name, lineno, raw.index(name) + 1)
+        check_ident(name, lineno, columns[0])
         if name in table:
             raise DuplicateWire(f"line {lineno}: wire {name!r} redefined")
         op, args = tokens[2], tokens[3:]
@@ -170,36 +169,11 @@ def parse_circuit(text: str) -> Circuit:
             gates.append(Const(1 if op == "TRUE" else 0))
         else:
             raise CircuitSyntaxError(f"unknown operation {op!r}", lineno,
-                                     raw.index(op) + 1)
-        table[name] = len(names)
-        names.append(name)
+                                     columns[2])
+        table[name] = len(gates) - 1
     if output is None:
         raise NoOutput("circuit text has no OUTPUT line")
-    return Circuit(input_count=input_count, gates=tuple(gates),
-                   wire_names=tuple(names), output=output)
-
-
-def format_circuit(c: Circuit) -> str:
-    """Canonical text for a circuit; parse(format(c)) reproduces the gates."""
-    inputs = [c.wire_names[i] for i, g in enumerate(c.gates) if isinstance(g, Input)]
-    lines = []
-    if inputs:
-        lines.append("INPUTS " + " ".join(inputs))
-    for i, gate in enumerate(c.gates):
-        name = c.wire_names[i]
-        match gate:
-            case Input(_):
-                continue
-            case Const(bit):
-                lines.append(f"{name} = {'TRUE' if bit else 'FALSE'}")
-            case And(a, b):
-                lines.append(f"{name} = AND {c.wire_names[a]} {c.wire_names[b]}")
-            case Or(a, b):
-                lines.append(f"{name} = OR {c.wire_names[a]} {c.wire_names[b]}")
-            case Not(a):
-                lines.append(f"{name} = NOT {c.wire_names[a]}")
-    lines.append(f"OUTPUT {c.wire_names[c.output]}")
-    return "\n".join(lines) + "\n"
+    return Circuit(input_count=input_count, gates=tuple(gates), output=output)
 
 
 def circuit_depth(c: Circuit) -> int:
@@ -214,11 +188,6 @@ def circuit_depth(c: Circuit) -> int:
             case And(a, b) | Or(a, b):
                 depth[i] = max(depth[a], depth[b]) + 1
     return depth[c.output]
-
-
-def logic_gate_count(c: Circuit) -> int:
-    """Number of AND/OR/NOT gates (inputs and constants excluded)."""
-    return sum(isinstance(g, (And, Or, Not)) for g in c.gates)
 
 
 def eval_circuit(c: Circuit, bits) -> int:

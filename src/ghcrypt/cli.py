@@ -27,21 +27,31 @@ from .general import GeneralCiphertext
 __all__ = ["main", "run_cli"]
 
 
+def _read(path: str) -> str:
+    """The UTF-8 text of a file, or Error naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise Error(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise Error(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Write a file as UTF-8, or Error naming the path."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise Error(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_group(spec: str) -> groupcore.FiniteGroup:
     G = groupcore.builtin_group(spec)
     if G is not None:
         return G
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise Error(f"unknown group spec {spec!r} (not builtin, not a file)")
-    return groupcore.parse_group(path.read_text(), name="custom")
-
-
-def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise Error(f"no such file: {path}")
-    return p.read_text()
+    return groupcore.parse_group(_read(spec), name="custom")
 
 
 def _sniff_pk(path: str):
@@ -88,18 +98,21 @@ def _cmd_keygen(args) -> int:
         raise Error(f"--bits must be in 1..512, got {args.bits}")
     rng = random.Random(args.seed)
     group_spec = args.group
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     G = _load_group(group_spec)
     cyclic_spec = groupcore.builtin_group(group_spec) is not None and group_spec.startswith("z")
     if cyclic_spec:
         pk, sk = cyclic.keygen_cyclic(G.order, args.bits, rng)
-        (out / "pk.txt").write_text(cyclic.format_cyclic_pk(pk))
-        (out / "sk.txt").write_text(cyclic.format_cyclic_sk(sk))
+        pk_text, sk_text = cyclic.format_cyclic_pk(pk), cyclic.format_cyclic_sk(sk)
     else:
         pk, sk = general.keygen_general(G, args.bits, rng)
-        (out / "pk.txt").write_text(general.format_general_pk(pk))
-        (out / "sk.txt").write_text(general.format_general_sk(sk))
+        pk_text, sk_text = general.format_general_pk(pk), general.format_general_sk(sk)
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise Error(f"cannot create directory {out}: {exc.strerror}") from None
+    _write(out / "pk.txt", pk_text)
+    _write(out / "sk.txt", sk_text)
     if args.verbose:
         print(f"wrote {out / 'pk.txt'} and {out / 'sk.txt'}", file=sys.stderr)
     return 0
@@ -107,7 +120,7 @@ def _cmd_keygen(args) -> int:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -167,7 +180,7 @@ def _cmd_hommul(args) -> int:
 def _cmd_compile(args) -> int:
     C = circuit_mod.parse_circuit(_read(args.circuit))
     G = _load_group(args.group)
-    program = barrington.compile_barrington(C, G, depth_cap=args.depth_cap)
+    program = barrington.compile_barrington(C, G)
     _write_or_print(barrington.format_program(program), args.out)
     return 0
 
@@ -208,7 +221,7 @@ def _cmd_protocol(args) -> int:
         bob = encsim.CircuitBob(pk, bits)
         bit, transcript = encsim.protocol_encrypted_circuit(alice, bob)
         if args.transcript:
-            Path(args.transcript).write_text(encsim.format_transcript(transcript))
+            _write(args.transcript, encsim.format_transcript(transcript))
         print(bit)
         return 0
     if not args.gcircuit or args.inputs is None:
@@ -224,7 +237,7 @@ def _cmd_protocol(args) -> int:
                           phi_steps=args.phi_steps, psi_length=args.psi_length)
     element, transcript = encsim.protocol_encrypted_input(alice, bob)
     if args.transcript:
-        Path(args.transcript).write_text(encsim.format_transcript(transcript))
+        _write(args.transcript, encsim.format_transcript(transcript))
     print(element.label)
     return 0
 
@@ -243,8 +256,7 @@ def _cmd_attack(args) -> int:
     def oracle(value: int) -> int | None:
         return cyclic.inverse_P_cyclic(sk, pk, value, oracle_rng)
 
-    instance = cyclic.FactorInstance.from_public_key(pk)
-    p, q = cyclic.factor_via_inverse_oracle(instance, oracle, rng)
+    p, q = cyclic.factor_via_inverse_oracle(pk, oracle, rng)
     lo, hi = sorted((p, q))
     print(f"{lo} {hi}")
     return 0
@@ -288,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("compile", help="compile a boolean circuit to a group program")
     cp.add_argument("--circuit", required=True)
     cp.add_argument("--group", default="sym5")
-    cp.add_argument("--depth-cap", type=int, default=12)
     cp.add_argument("--out")
     cp.set_defaults(func=_cmd_compile)
 

@@ -58,10 +58,8 @@ __all__ = [
     "CyclicPublicKey",
     "CyclicSecretKey",
     "CyclicCiphertext",
-    "FactorInstance",
     "keygen_cyclic",
     "in_group_G",
-    "apply_P",
     "encrypt_cyclic",
     "decrypt_cyclic",
     "is_mth_power",
@@ -127,8 +125,13 @@ class CyclicSecretKey:
 
     @classmethod
     def from_primes(cls, p: int, q: int, m: int) -> "CyclicSecretKey":
+        """The key of the primes p and q for plaintext order m; ValueError
+        unless p and q are distinct odd numbers of at least 3 that fit m
+        (their primality is not tested)."""
         if m < 2:
             raise BadOrder("plaintext order must be at least 2")
+        if p == q or min(p, q) < 3 or p % 2 == 0 or q % 2 == 0:
+            raise ValueError(f"p = {p} and q = {q} must be distinct odd numbers >= 3")
         if (p - 1) % m != 0:
             raise ValueError(f"p = {p} does not satisfy p = 1 (mod {m})")
         m_prime = gcd(m, q - 1)
@@ -152,19 +155,6 @@ class CyclicCiphertext:
     value: int
 
 
-@dataclass(frozen=True)
-class FactorInstance:
-    """Public data of the factoring-with-transversal problem."""
-
-    n: int
-    m: int
-    transversal: tuple[int, ...]
-
-    @classmethod
-    def from_public_key(cls, pk: CyclicPublicKey) -> "FactorInstance":
-        return cls(n=pk.n, m=pk.m, transversal=pk.transversal)
-
-
 def random_unit(n: int, rng: random.Random) -> int:
     """Uniform unit modulo n."""
     while True:
@@ -180,14 +170,6 @@ def in_group_G(pk: CyclicPublicKey, g: int) -> bool:
     if gcd(g, pk.n) != 1:
         raise NotAUnit(f"{g} is not a unit modulo {pk.n}")
     return pk.m % 2 == 1 or jacobi(g, pk.n) == 1
-
-
-def apply_P(pk: CyclicPublicKey, a: int) -> CyclicCiphertext:
-    """The public one-way map a -> a^m mod n."""
-    a %= pk.n
-    if gcd(a, pk.n) != 1:
-        raise NotAUnit(f"{a} is not a unit modulo {pk.n}")
-    return CyclicCiphertext(pow(a, pk.m, pk.n))
 
 
 def encrypt_cyclic(pk: CyclicPublicKey, plaintext: int, rng: random.Random) -> CyclicCiphertext:
@@ -313,31 +295,15 @@ def _admissible_base(m: int, p: int, q: int, rng: random.Random) -> int:
     return crt_pair(h_p, p, h_q, q)
 
 
-def _validate_base(m: int, p: int, q: int, h: int) -> None:
-    n = p * q
-    if gcd(h, n) != 1:
-        raise ValueError(f"base {h} is not a unit modulo {n}")
-    h_p, h_q = h % p, h % q
-    for ell in factorize(m):
-        if pow(h_p, (p - 1) // ell, p) == 1:
-            raise ValueError(f"base {h} has too small an order mod {p}")
-    if m % 2 == 0 and pow(h_q, (q - 1) // 2, q) == 1:
-        raise ValueError(f"base {h} must be a nonresidue mod {q} for even m")
-
-
 def keygen_cyclic(m: int, bits: int, rng: random.Random, *,
-                  randomize_transversal: bool = True,
-                  primes: tuple[int, int] | None = None,
-                  base: int | None = None) -> tuple[CyclicPublicKey, CyclicSecretKey]:
+                  primes: tuple[int, int] | None = None
+                  ) -> tuple[CyclicPublicKey, CyclicSecretKey]:
     """Generate a key pair for plaintext group Z_m with |p| = |q| = bits.
 
     Draws p = 1 (mod m) and q = -1 (mod m) from [2^bits, 2^(bits+1)], picks
     a base h = (h_p, h_q) whose powers represent all m cosets, and publishes
-    the transversal {h^i * s_i^m} for fresh random units s_i.
-
-    ``primes``, ``base`` and ``randomize_transversal=False`` are fixture
-    hooks: they force the primes / base and skip the coset randomization so
-    tests can pin exact key material.
+    the transversal {h^i * s_i^m} for fresh random units s_i.  ``primes``
+    forces the pair (p, q) in place of the draw; the rest stays random.
     """
     if m < 2:
         raise BadOrder("plaintext order must be at least 2")
@@ -345,9 +311,6 @@ def keygen_cyclic(m: int, bits: int, rng: random.Random, *,
         p, q = primes
         if not (is_probable_prime(p) and is_probable_prime(q)):
             raise ValueError("forced primes are not prime")
-        if p == q or p % 2 == 0 or q % 2 == 0:
-            raise ValueError("primes must be distinct and odd")
-        sk = CyclicSecretKey.from_primes(p, q, m)
     else:
         for _ in range(64):
             p = random_prime_congruent(bits, 1 % m, m, rng)
@@ -356,20 +319,11 @@ def keygen_cyclic(m: int, bits: int, rng: random.Random, *,
                 break
         else:
             raise ExhaustedRetries("could not find a distinct odd prime pair")
-        sk = CyclicSecretKey.from_primes(p, q, m)
+    sk = CyclicSecretKey.from_primes(p, q, m)
     n = p * q
-    if base is None:
-        h = _admissible_base(m, p, q, rng)
-    else:
-        h = base % n
-        _validate_base(m, p, q, h)
-    transversal = []
-    for i in range(m):
-        r = pow(h, i, n)
-        if randomize_transversal:
-            r = r * pow(random_unit(n, rng), m, n) % n
-        transversal.append(r)
-    pk = CyclicPublicKey(m=m, n=n, transversal=tuple(transversal))
+    h = _admissible_base(m, p, q, rng)
+    pk = CyclicPublicKey(m=m, n=n, transversal=tuple(
+        pow(h, i, n) * pow(random_unit(n, rng), m, n) % n for i in range(m)))
     characters: list[int] = []
     for i in range(m):  # self-check: coset of R[i] is exactly i
         if decrypt_cyclic(sk, pk, CyclicCiphertext(pk.transversal[i]), characters) != i:
@@ -380,21 +334,23 @@ def keygen_cyclic(m: int, bits: int, rng: random.Random, *,
 # ---------------------------------------------------------------------------
 # the reduction from factoring to the inversion oracle
 
-def factor_via_inverse_oracle(instance: FactorInstance,
+_MAX_RESTARTS = 64
+
+
+def factor_via_inverse_oracle(pk: CyclicPublicKey,
                               oracle: Callable[[int], int | None],
-                              rng: random.Random,
-                              *,
-                              max_restarts: int = 64) -> tuple[int, int]:
+                              rng: random.Random) -> tuple[int, int]:
     """Recover (p, q) from n given an oracle producing random m-th roots.
 
     Collects distinct roots of g^m for a random unit g until two of them
     agree modulo exactly one prime factor; their difference then reveals
-    that factor through a gcd.  Odd m needs two roots, even m three.
-    The oracle is the only secret-dependent component.
+    that factor through a gcd.  Odd m needs two roots, even m three; a
+    fresh g is drawn up to ``_MAX_RESTARTS`` times.  The oracle is the only
+    secret-dependent component.
     """
-    n, m = instance.n, instance.m
+    n, m = pk.n, pk.m
     target = 3 - (m % 2)
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         g = random_unit(n, rng)
         power = pow(g, m, n)
         roots = {g}

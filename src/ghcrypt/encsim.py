@@ -49,7 +49,6 @@ __all__ = [
     "GroupCircuit",
     "eval_group_circuit",
     "parse_group_circuit",
-    "format_group_circuit",
     "Transcript",
     "format_transcript",
     "format_encrypted_program",
@@ -211,32 +210,6 @@ def eval_group_circuit(circ: GroupCircuit, inputs, H: FiniteGroup) -> GroupEleme
         raise GroupMismatch("input element from a different group")
     indices = [el.index for el in inputs]
     return H.element(_run_steps(circ, indices, int, H.mul, H.inverse))
-
-
-def format_group_circuit(circ: GroupCircuit) -> str:
-    """Text form: 'GCIRC v1', INPUTS line, MUL/INV/CONST statements, OUTPUT."""
-    names: dict[int, str] = {}
-    lines = ["GCIRC v1"]
-    lines.append("INPUTS " + " ".join(f"y{k + 1}" for k in range(circ.input_count)))
-    counter = 0
-    for i, step in enumerate(circ.steps):
-        match step:
-            case GInput(index):
-                names[i] = f"y{index + 1}"
-            case GConst(value):
-                counter += 1
-                names[i] = f"w{counter}"
-                lines.append(f"{names[i]} = CONST {value}")
-            case GMul(a, b):
-                counter += 1
-                names[i] = f"w{counter}"
-                lines.append(f"{names[i]} = MUL {names[a]} {names[b]}")
-            case GInv(a):
-                counter += 1
-                names[i] = f"w{counter}"
-                lines.append(f"{names[i]} = INV {names[a]}")
-    lines.append(f"OUTPUT {names[circ.output]}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_group_circuit(text: str, H: FiniteGroup) -> GroupCircuit:

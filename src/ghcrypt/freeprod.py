@@ -30,12 +30,12 @@ Two epimorphisms are implemented on top of the words:
 Membership of a word in the kernel of ``phi`` carries a *witness*: a word
 over non-kernel letters and preimage letters, built from the empty word by
 conjugated insertions.  ``p_phi`` evaluates witnesses, ``inverse_p_phi``
-reconstructs a witness for any kernel word using per-factor inversion
-oracles (the rotation recursion), and ``p_psi``/``combined_P`` complete
-the proof system used by the general cryptosystem.
+reconstructs a witness for any kernel word using an inversion oracle for
+the factors (the rotation recursion), and ``p_psi``/``combined_P``
+complete the proof system used by the general cryptosystem.
 
 A :class:`FactorFamily` is public data: the calls that need trapdoors
-(``phi_map``, ``trapdoor_oracles``) take the factor secret keys.
+(``phi_map``, ``trapdoor_oracle``) take the factor secret keys.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ __all__ = [
     "inverse_p_phi",
     "p_psi",
     "combined_P",
-    "trapdoor_oracles",
+    "trapdoor_oracle",
     "format_gword",
     "parse_gword",
 ]
@@ -419,14 +419,13 @@ def random_phi_witness(family: FactorFamily, steps: int, rng: random.Random) -> 
     return PhiWitness(tuple(letters), steps)
 
 
-FactorOracle = Callable[[int], "int | None"]
+def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]
+                  ) -> tuple[PhiWitness, GWord]:
+    """Invert ``p_phi`` on a word using an inversion oracle.
 
-
-def inverse_p_phi(g: GWord, oracles: Sequence[FactorOracle]) -> tuple[PhiWitness, GWord]:
-    """Invert ``p_phi`` on a word using per-factor inversion oracles.
-
-    ``oracles[i-1]`` answers factor-i queries: given a value it returns an
-    m_i-th root when the value is a kernel element and None otherwise.
+    ``oracle(i, value)`` answers factor-i queries: it returns an m_i-th
+    root of the value when the value is a kernel element and None
+    otherwise.
 
     Returns a pair (witness, t).  The word is in the kernel of ``phi``
     exactly when t is the identity, and then the witness evaluates back to
@@ -440,8 +439,6 @@ def inverse_p_phi(g: GWord, oracles: Sequence[FactorOracle]) -> tuple[PhiWitness
     """
     family = g.family
     factors = family.factors
-    if len(oracles) != family.count:
-        raise ValueError("need one oracle per factor")
     frames: list[tuple[tuple[GLetter, ...], int, int]] = []
     current = g
     while True:
@@ -450,7 +447,7 @@ def inverse_p_phi(g: GWord, oracles: Sequence[FactorOracle]) -> tuple[PhiWitness
             break
         found = None
         for idx, letter in enumerate(current.letters):
-            root = oracles[letter.factor - 1](letter.value)
+            root = oracle(letter.factor, letter.value)
             if root is not None:
                 pk = factors[letter.factor - 1]
                 n_i = pk.n
@@ -500,31 +497,13 @@ def combined_P(family: FactorFamily, a: PhiWitness, b: PsiWitness) -> GWord:
     return g_multiply(p_phi(family, a), p_psi(family, b))
 
 
-class _TrapdoorOracles(Sequence):
-    """Per-factor oracles made on demand: item i-1 is factor i's oracle."""
-
-    def __init__(self, family: FactorFamily, secrets: Sequence[CyclicSecretKey],
-                 rng: random.Random):
-        self._family, self._secrets, self._rng = family, secrets, rng
-
-    def __len__(self) -> int:
-        return self._family.count
-
-    def __getitem__(self, idx: int) -> FactorOracle:
-        pk, sk = self._family.factors[idx], self._secrets[idx]
-        rng = self._rng
-        return lambda value: inverse_P_cyclic(sk, pk, value, rng)
-
-
-def trapdoor_oracles(family: FactorFamily, secrets: Sequence[CyclicSecretKey],
-                     rng: random.Random) -> Sequence[FactorOracle]:
-    """Honest per-factor inversion oracles built from the factor secret
-    keys, ``secrets[i-1]`` for factor i of ``family``.
-
-    Construction is O(1): a factor's oracle is made when it is indexed, so
-    a word that touches few factors of a large family pays for those only.
-    """
-    return _TrapdoorOracles(family, secrets, rng)
+def trapdoor_oracle(family: FactorFamily, secrets: Sequence[CyclicSecretKey],
+                    rng: random.Random) -> Callable[[int, int], int | None]:
+    """The honest inversion oracle ``oracle(i, value)`` of ``inverse_p_phi``:
+    a random m_i-th root drawn with the secret key ``secrets[i-1]`` of
+    factor i of ``family``, or None when the value has none."""
+    factors = family.factors
+    return lambda i, value: inverse_P_cyclic(secrets[i - 1], factors[i - 1], value, rng)
 
 
 # ---------------------------------------------------------------------------

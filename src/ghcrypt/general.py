@@ -42,7 +42,7 @@ from .freeprod import (
     random_phi_witness,
     format_gword,
     parse_gword,
-    trapdoor_oracles,
+    trapdoor_oracle,
 )
 
 __all__ = [
@@ -257,7 +257,7 @@ def inverse_P_general(sk: GeneralSecretKey, pk: GeneralPublicKey, g: GWord,
         r = PsiWitness(tuple(PsiLetter(pk.coordinates[symbol][0], exponent)
                              for symbol, exponent, _ in k.runs))
     kernel_part = g_multiply(g, g_inverse(p_psi(pk.family, r)))
-    witness, tail = inverse_p_phi(kernel_part, trapdoor_oracles(pk.family, sk.factors, rng))
+    witness, tail = inverse_p_phi(kernel_part, trapdoor_oracle(pk.family, sk.factors, rng))
     if tail.is_identity:
         return witness, r
     if len(g) <= 1:

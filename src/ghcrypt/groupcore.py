@@ -25,14 +25,12 @@ __all__ = [
     "TooLarge",
     "FiniteGroup",
     "GroupElement",
-    "group_from_table",
     "sym",
     "cyclic_group",
     "builtin_group",
     "is_solvable",
     "parse_group",
     "format_group",
-    "parse_permutation",
     "permutation_label",
 ]
 
@@ -199,11 +197,6 @@ def _check_associativity(rows) -> None:
                 raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
 
 
-def group_from_table(table, labels=None, name: str = "custom") -> FiniteGroup:
-    """Validate a Cayley table and wrap it as a FiniteGroup."""
-    return FiniteGroup(table, labels=labels, name=name)
-
-
 @functools.cache
 def sym(k: int) -> FiniteGroup:
     """Symmetric group on k points, 1 <= k <= 6.
@@ -331,38 +324,6 @@ def permutation_label(perm) -> str:
     if not cycles:
         return "e"
     return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycles)
-
-
-def parse_permutation(label: str, k: int) -> tuple[int, ...]:
-    """Parse 1-based cycle notation into a one-line permutation of range(k)."""
-    label = label.strip()
-    if label in ("e", "()"):
-        return tuple(range(k))
-    if not re.fullmatch(r"(\([0-9 ]*\))+", label):
-        raise FormatError(f"bad permutation label {label!r}")
-    image = list(range(k))
-    for cyc in re.findall(r"\(([0-9 ]*)\)", label):
-        tokens = cyc.split()
-        if not tokens:
-            continue
-        if len(tokens) == 1 and len(tokens[0]) > 1:
-            # compact single-digit form like (123)
-            tokens = list(tokens[0])
-        points = [int(t) - 1 for t in tokens]
-        if len(points) < 2:
-            raise FormatError(f"cycle {cyc!r} is too short")
-        if any(not 0 <= x < k for x in points):
-            raise FormatError(f"cycle {cyc!r} uses points outside 1..{k}")
-        if len(set(points)) != len(points):
-            raise FormatError(f"cycle {cyc!r} repeats a point")
-        base = list(image)
-        for i, x in enumerate(points):
-            y = points[(i + 1) % len(points)]
-            # apply this cycle after the ones already parsed
-            for src in range(k):
-                if base[src] == x:
-                    image[src] = y
-    return tuple(image)
 
 
 # ---------------------------------------------------------------------------

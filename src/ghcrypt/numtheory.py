@@ -82,17 +82,16 @@ def jacobi(a: int, n: int) -> int:
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_ROUNDS = 40
 
 
-def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test.
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+    """Miller-Rabin primality test with 40 random witnesses.
 
     Never rejects a prime; accepts a composite with probability at most
-    4**-rounds.  With ``rng=None`` the witness choice is a deterministic
+    4**-40.  With ``rng=None`` the witness choice is a deterministic
     function of ``n``, so repeated calls agree.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -106,7 +105,7 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
+    for _ in range(_MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ghcrypt.cyclic import keygen_cyclic
+from ghcrypt.cyclic import CyclicPublicKey, CyclicSecretKey
 from ghcrypt.freeprod import FactorFamily
 from ghcrypt.general import keygen_general
 from ghcrypt.groupcore import cyclic_group, sym
@@ -15,16 +15,16 @@ def rng():
 
 @pytest.fixture(scope="session")
 def key35():
-    """Unrandomized fixture key: m=3, n=35, R=(1, 17, 9)."""
-    return keygen_cyclic(3, 4, random.Random(1), primes=(7, 5), base=17,
-                         randomize_transversal=False)
+    """Unrandomized fixture key: m=3, n=35, R=(1, 17, 9), the powers of 17."""
+    return (CyclicPublicKey(m=3, n=35, transversal=(1, 17, 9)),
+            CyclicSecretKey.from_primes(7, 5, 3))
 
 
 @pytest.fixture(scope="session")
 def key77():
     """Unrandomized fixture key: m=2, n=77, R=(1, 6)."""
-    return keygen_cyclic(2, 4, random.Random(2), primes=(7, 11), base=6,
-                         randomize_transversal=False)
+    return (CyclicPublicKey(m=2, n=77, transversal=(1, 6)),
+            CyclicSecretKey.from_primes(7, 11, 2))
 
 
 @pytest.fixture(scope="session")

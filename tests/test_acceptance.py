@@ -15,7 +15,8 @@ import pytest
 from ghcrypt.circuit import circuit_depth, eval_circuit, parse_circuit
 from ghcrypt.cyclic import (
     CyclicCiphertext,
-    FactorInstance,
+    CyclicPublicKey,
+    CyclicSecretKey,
     decrypt_cyclic,
     encrypt_cyclic,
     factor_via_inverse_oracle,
@@ -39,7 +40,7 @@ from ghcrypt.freeprod import (
     k_multiply,
     random_nonkernel_value,
     random_phi_witness,
-    trapdoor_oracles,
+    trapdoor_oracle,
 )
 from ghcrypt.general import (
     decrypt_general,
@@ -142,9 +143,8 @@ def test_03_trapdoor_vs_brute_force():
            f"{checked_keys} moduli <= 10^4 for m in {{2,3}}, every unit checked")
 
 
-def test_04_inverse_correctness_and_uniformity():
-    pk, sk = keygen_cyclic(3, 4, random.Random(0), primes=(7, 5), base=17,
-                           randomize_transversal=False)
+def test_04_inverse_correctness_and_uniformity(key35):
+    pk, sk = key35
     rng = random.Random("c4")
     # correctness on 2000 samples across random kernel elements
     for _ in range(2000):
@@ -175,14 +175,13 @@ def test_05_inverse_to_factor_reduction():
         keys.append((m, *keygen_cyclic(m, 12, keygen_rng)))
     total_rate = []
     for m, pk, sk in keys:
-        instance = FactorInstance.from_public_key(pk)
         wins = 0
         for seed in range(100):
             rng = random.Random(f"c5:{pk.n}:{seed}")
             oracle_rng = random.Random(f"c5o:{pk.n}:{seed}")
             oracle = lambda v: inverse_P_cyclic(sk, pk, v, oracle_rng)
             try:
-                p, q = factor_via_inverse_oracle(instance, oracle, rng)
+                p, q = factor_via_inverse_oracle(pk, oracle, rng)
             except Exception:
                 continue
             if {p, q} == {sk.p, sk.q}:
@@ -197,8 +196,10 @@ def test_05_inverse_to_factor_reduction():
 
 @pytest.fixture(scope="module")
 def family_for_words():
-    pk1, sk1 = keygen_cyclic(3, 4, random.Random(0), primes=(7, 5), base=17)
-    pk2, sk2 = keygen_cyclic(2, 4, random.Random(0), primes=(7, 11), base=6)
+    pk1 = CyclicPublicKey(m=3, n=35, transversal=(13, 4, 12))
+    sk1 = CyclicSecretKey.from_primes(7, 5, 3)
+    pk2 = CyclicPublicKey(m=2, n=77, transversal=(36, 17))
+    sk2 = CyclicSecretKey.from_primes(7, 11, 2)
     pk3, sk3 = keygen_cyclic(2, 4, random.Random(0), primes=(11, 13))
     return FactorFamily((pk1, pk2, pk3)), (sk1, sk2, sk3)
 
@@ -282,31 +283,26 @@ def test_07_kernel_witness_contract(family_for_words):
     class Counting:
         def __init__(self):
             self.calls = 0
-            self.inner = trapdoor_oracles(family, secrets, rng)
+            self.inner = trapdoor_oracle(family, secrets, rng)
 
-        def __getitem__(self, idx):
-            def wrapped(v):
-                self.calls += 1
-                return self.inner[idx](v)
-            return wrapped
-
-        def __len__(self):
-            return len(self.inner)
+        def __call__(self, i, v):
+            self.calls += 1
+            return self.inner(i, v)
 
     for _ in range(1000):
         w = random_phi_witness(family, rng.randrange(6), rng)
         g = p_phi(family, w)
-        oracles = Counting()
-        a, t = inverse_p_phi(g, oracles)
+        oracle = Counting()
+        a, t = inverse_p_phi(g, oracle)
         assert t.is_identity
         assert p_phi(family, a) == g
-        assert oracles.calls <= max(1, len(g)) ** 2
+        assert oracle.calls <= max(1, len(g)) ** 2
     for _ in range(1000):
         w = random_phi_witness(family, rng.randrange(4), rng)
         i = rng.randrange(1, family.count + 1)
         bad = g_multiply(p_phi(family, w), normalize(
             family, [(i, random_nonkernel_value(family, i, rng))]))
-        a, t = inverse_p_phi(bad, trapdoor_oracles(family, secrets, rng))
+        a, t = inverse_p_phi(bad, trapdoor_oracle(family, secrets, rng))
         assert not t.is_identity
     report(7, "kernel witness contract",
            "10^3 kernel + 10^3 non-kernel words, call bound |g|^2 held")

@@ -7,6 +7,7 @@ import pytest
 from ghcrypt.circuit import ArityMismatch, circuit_depth, eval_circuit, parse_circuit
 from ghcrypt.errors import FormatError
 from ghcrypt.barrington import (
+    DEPTH_CAP,
     SIZE_BASE,
     DepthExceeded,
     GroupProgram,
@@ -89,8 +90,13 @@ class TestCompile:
         assert p.target != p.group.identity
 
     def test_depth_cap(self):
+        def not_chain(depth):
+            gates = "".join(f"w{i + 1} = NOT w{i}\n" for i in range(depth))
+            return parse_circuit(f"INPUTS w0\n{gates}OUTPUT w{depth}\n")
+
         with pytest.raises(DepthExceeded):
-            compile_barrington(fixture("maj3.bc"), sym(5), depth_cap=2)
+            compile_barrington(not_chain(DEPTH_CAP + 1), sym(5))
+        assert len(compile_barrington(not_chain(DEPTH_CAP), sym(5))) == DEPTH_CAP + 1
 
     def test_recoding_soundness(self):
         # conjugating all instructions and the target by a fixed element

@@ -285,19 +285,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("p,q", [
         (None, 7),  # gcd(3, 7-1) = 3 violates gcd(m, q-1) = gcd(m, 2)
         (7, 5),     # a valid pair for m = 3 whose product is not n
-    ], ids=["q_violates_order", "product_is_not_n"])
+        (1, "n"),   # p * q = n, but 1 is no prime
+        (-1, "-n"),
+    ], ids=["q_violates_order", "product_is_not_n", "one_times_n", "minus_one_times_minus_n"])
     def test_bad_cyclic_secret_key(self, z3_keys, tmp_path, capsys, p, q):
         good = z3_keys / "sk.txt"
         p = p or int(good.read_text().split("p:")[1].split()[0])
+        n = int((z3_keys / "pk.txt").read_text().split("n:")[1].split()[0])
+        q = {"n": n, "-n": -n}.get(q, q)
         sk = tmp_path / "sk.txt"
         sk.write_text(f"GHC-CYCLIC-SK v1\np: {p}\nq: {q}\n")
         c = tmp_path / "c.txt"
         run(capsys, "encrypt", "--pk", str(z3_keys / "pk.txt"), "--plain", "1",
             "--seed", "1", "--out", str(c))
-        rc, out, err = run(capsys, "decrypt", "--sk", str(sk),
-                           "--pk", str(z3_keys / "pk.txt"), "--cipher", str(c))
-        assert rc == 1 and err.startswith("error:"), err
-        assert "Traceback" not in err and out == ""
+        for argv in (("decrypt", "--sk", str(sk), "--pk", str(z3_keys / "pk.txt"),
+                      "--cipher", str(c)),
+                     ("attack", "factor", "--pk", str(z3_keys / "pk.txt"),
+                      "--sk", str(sk), "--seed", "1")):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 1 and err.startswith("error:"), (argv[0], err)
+            assert "Traceback" not in err and out == ""
 
     def test_bad_cyclic_hommul_operands(self, z3_keys, tmp_path, capsys):
         pk = z3_keys / "pk.txt"
@@ -335,6 +342,50 @@ class TestExitCodes:
             rc, stdout, err = run(capsys, *argv)
             assert rc == 1 and err.startswith("error:"), (argv[0], err)
             assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        "cipher_is_dir", "pk_is_dir", "cipher_not_utf8", "group_not_utf8",
+        "out_in_missing_dir", "transcript_in_missing_dir", "keygen_out_is_file"])
+    def test_file_faults(self, z3_keys, sym3_dir, tmp_path, capsys, case):
+        pk, sk = str(z3_keys / "pk.txt"), str(z3_keys / "sk.txt")
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"GROUP v1 2\n0 1\n1 0\nLABELS\n\xe9\nb\n")
+        a_file = tmp_path / "file"
+        a_file.write_text("x\n")
+        missing = str(tmp_path / "nosuch" / "out.txt")
+        gcirc = tmp_path / "mul.gcirc"
+        gcirc.write_text("GCIRC v1\nINPUTS y1 y2\nw = MUL y1 y2\nOUTPUT w\n")
+        argv, path = {
+            "cipher_is_dir": (("decrypt", "--sk", sk, "--pk", pk,
+                               "--cipher", str(tmp_path)), str(tmp_path)),
+            "pk_is_dir": (("encrypt", "--pk", str(tmp_path), "--plain", "1",
+                           "--seed", "1"), str(tmp_path)),
+            "cipher_not_utf8": (("decrypt", "--sk", sk, "--pk", pk,
+                                 "--cipher", str(latin1)), str(latin1)),
+            "group_not_utf8": (("keygen", "--group", str(latin1), "--bits", "8",
+                                "--seed", "1", "--out", str(tmp_path / "k")),
+                               str(latin1)),
+            "out_in_missing_dir": (("encrypt", "--pk", pk, "--plain", "1",
+                                    "--seed", "1", "--out", missing), missing),
+            "transcript_in_missing_dir": (
+                ("protocol", "input", "--pk", str(sym3_dir / "pk.txt"),
+                 "--sk", str(sym3_dir / "sk.txt"), "--gcircuit", str(gcirc),
+                 "--inputs", "(1 2),(1 3)", "--seed", "q", "--transcript", missing),
+                missing),
+            "keygen_out_is_file": (("keygen", "--group", "z3", "--bits", "8",
+                                    "--seed", "1", "--out", str(a_file)), str(a_file)),
+        }[case]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and err.startswith("error:") and path in err, err
+        assert "Traceback" not in err and out == ""
+        assert not (tmp_path / "k").exists()
+
+    def test_keygen_unknown_group_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "k"
+        rc, _, err = run(capsys, "keygen", "--group", "nosuch", "--bits", "8",
+                         "--seed", "1", "--out", str(out))
+        assert rc == 1 and err.startswith("error:"), err
         assert not out.exists()
 
     def test_keygen_group_beyond_table_guard(self, tmp_path, capsys):

@@ -9,11 +9,10 @@ from ghcrypt.cyclic import (
     BadOrder,
     CyclicCiphertext,
     CyclicPublicKey,
-    FactorInstance,
+    CyclicSecretKey,
     NotInImage,
     OracleFailure,
     PlaintextRange,
-    apply_P,
     decrypt_cyclic,
     encrypt_cyclic,
     factor_via_inverse_oracle,
@@ -122,8 +121,14 @@ class TestKeygenProperties:
         with pytest.raises(ValueError):
             keygen_cyclic(3, 4, random.Random(0), primes=(5, 7))  # 5 != 1 mod 3
         with pytest.raises(ValueError):
-            # 6 mod 7 has order 2, so its powers miss cosets for m = 3
-            keygen_cyclic(3, 4, random.Random(0), primes=(7, 5), base=6)
+            keygen_cyclic(2, 4, random.Random(0), primes=(7, 7))  # not distinct
+
+    @pytest.mark.parametrize("p,q", [(1, 35), (-1, -35), (7, 2), (2, 7), (7, 7)])
+    def test_from_primes_needs_distinct_odd_numbers(self, p, q):
+        # p = 1 and p = -1 fit every m; 2 is prime but even
+        for m in (2, 3):
+            with pytest.raises(ValueError):
+                CyclicSecretKey.from_primes(p, q, m)
 
 
 class TestGroupMembership:
@@ -143,13 +148,6 @@ class TestGroupMembership:
 
 
 class TestEncryptDecrypt:
-    def test_apply_P_examples(self, key35, key77):
-        pk35, _ = key35
-        pk77, _ = key77
-        assert apply_P(pk35, 1).value == 1
-        assert apply_P(pk35, 2).value == 8
-        assert apply_P(pk77, 3).value == 9
-
     def test_encrypt_pinned_randomness(self, key35, key77):
         pk35, _ = key35
         # a = 2: ciphertext 2^3 * 17 = 8 * 17 = 136 = 31 (mod 35)
@@ -160,6 +158,9 @@ class TestEncryptDecrypt:
         assert encrypt_cyclic(pk77, 1, ScriptedRng([3])).value == 54
         # identity randomness on plaintext 0 returns the representative
         assert encrypt_cyclic(pk35, 0, ScriptedRng([1])).value == 1
+        # R[0] = 1, so plaintext 0 is the bare a^m
+        assert encrypt_cyclic(pk35, 0, ScriptedRng([2])).value == 8
+        assert encrypt_cyclic(pk77, 0, ScriptedRng([3])).value == 9
 
     def test_decrypt_examples(self, key35, key77):
         pk35, sk35 = key35
@@ -388,9 +389,8 @@ class TestFactorAttack:
 
     def test_recovers_small_factors(self, key35, key77):
         for (pk, sk), expect in ((key35, {5, 7}), (key77, {7, 11})):
-            instance = FactorInstance.from_public_key(pk)
             oracle = self._honest_oracle(pk, sk, 17)
-            p, q = factor_via_inverse_oracle(instance, oracle, random.Random(3))
+            p, q = factor_via_inverse_oracle(pk, oracle, random.Random(3))
             assert {p, q} == expect
             assert p * q == pk.n
 
@@ -398,22 +398,19 @@ class TestFactorAttack:
         rng = random.Random(12)
         for m in (2, 3, 4):
             pk, sk = keygen_cyclic(m, 10, rng)
-            instance = FactorInstance.from_public_key(pk)
             oracle = self._honest_oracle(pk, sk, 99 + m)
-            p, q = factor_via_inverse_oracle(instance, oracle, random.Random(4))
+            p, q = factor_via_inverse_oracle(pk, oracle, random.Random(4))
             assert {p, q} == {sk.p, sk.q}
 
     def test_dishonest_oracle(self, key35):
         pk, _ = key35
-        instance = FactorInstance.from_public_key(pk)
         with pytest.raises(OracleFailure):
-            factor_via_inverse_oracle(instance, lambda v: 3, random.Random(0))
+            factor_via_inverse_oracle(pk, lambda v: 3, random.Random(0))
 
     def test_refusing_oracle(self, key35):
         pk, _ = key35
-        instance = FactorInstance.from_public_key(pk)
         with pytest.raises(OracleFailure):
-            factor_via_inverse_oracle(instance, lambda v: None, random.Random(0))
+            factor_via_inverse_oracle(pk, lambda v: None, random.Random(0))
 
 
 class TestKeyFiles:

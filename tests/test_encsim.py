@@ -32,7 +32,6 @@ from ghcrypt.encsim import (
     eval_encrypted,
     eval_group_circuit,
     format_encrypted_program,
-    format_group_circuit,
     format_transcript,
     parse_encrypted_program,
     parse_group_circuit,
@@ -177,10 +176,9 @@ class TestGroupCircuits:
         H = sym(3)
         circ = GroupCircuit(
             1, (GInput(0), GConst(3), GMul(0, 1), GInv(2)), 3)
-        text = format_group_circuit(circ)
-        again = parse_group_circuit(text, H)
-        assert again == circ
-        assert format_group_circuit(again) == text
+        text = ("GCIRC v1\nINPUTS y1\nw1 = CONST 3\nw2 = MUL y1 w1\n"
+                "w3 = INV w2\nOUTPUT w3\n")
+        assert parse_group_circuit(text, H) == circ
 
     def test_parse_labels_and_errors(self):
         H = sym(3)

@@ -22,7 +22,7 @@ from ghcrypt.general import (
     parse_general_sk,
     sample_A,
 )
-from ghcrypt.groupcore import cyclic_group, group_from_table
+from ghcrypt.groupcore import FiniteGroup, cyclic_group
 from ghcrypt.numtheory import jacobi
 
 
@@ -44,7 +44,7 @@ def jacobi_minus_one(n):
 class TestKeygen:
     def test_identity_group(self):
         with pytest.raises(IdentityGroup):
-            keygen_general(group_from_table([[0]]), 8, random.Random(0))
+            keygen_general(FiniteGroup([[0]]), 8, random.Random(0))
 
     def test_z2_is_single_factor(self):
         pk, sk = keygen_general(cyclic_group(2), 8, random.Random(1))

@@ -15,10 +15,8 @@ from ghcrypt.groupcore import (
     builtin_group,
     cyclic_group,
     format_group,
-    group_from_table,
     is_solvable,
     parse_group,
-    parse_permutation,
     sym,
 )
 
@@ -67,40 +65,40 @@ def alternating5() -> FiniteGroup:
     even = [i for i, p in enumerate(perms) if parity(p) == 0]
     back = {el: i for i, el in enumerate(even)}
     table = [[back[s5.mul(a, b)] for b in even] for a in even]
-    return group_from_table(table, name="a5")
+    return FiniteGroup(table, name="a5")
 
 
 class TestConstruction:
     def test_trivial_group(self):
-        G = group_from_table([[0]])
+        G = FiniteGroup([[0]])
         assert G.order == 1
 
     def test_z2(self):
-        G = group_from_table(Z2_TABLE)
+        G = FiniteGroup(Z2_TABLE)
         assert G.order == 2
         assert G.mul(1, 1) == 0
 
     def test_not_latin(self):
         with pytest.raises(NotLatinSquare):
-            group_from_table([[0, 1], [1, 1]])
+            FiniteGroup([[0, 1], [1, 1]])
 
     def test_no_identity(self):
         with pytest.raises(NoIdentity):
-            group_from_table([[1, 0], [0, 1]])
+            FiniteGroup([[1, 0], [0, 1]])
 
     def test_no_inverse(self):
         with pytest.raises(NoInverse):
-            group_from_table(ONESIDED_LOOP)
+            FiniteGroup(ONESIDED_LOOP)
 
     def test_not_associative(self):
         with pytest.raises(NotAssociative):
-            group_from_table(NONASSOC_LOOP)
+            FiniteGroup(NONASSOC_LOOP)
 
     def test_shape_errors(self):
         with pytest.raises(FormatError):
-            group_from_table([[0, 1]])
+            FiniteGroup([[0, 1]])
         with pytest.raises(FormatError):
-            group_from_table([[0, 5], [5, 0]])
+            FiniteGroup([[0, 5], [5, 0]])
 
 
 def _fill_latin(rows, i, j, rng):
@@ -214,21 +212,16 @@ class TestSym:
         a = s3.element_by_label("(1 2)")
         b = s3.element_by_label("(1 3)")
         assert (a * b).label == "(1 2 3)"
-        want = parse_permutation("(1 2 3)", 3)
-        assert want == (1, 2, 0)
+        # element 3 is the one-line permutation (1, 2, 0): 0->1, 1->2, 2->0
+        assert (a * b).index == 3
 
     def test_labels_roundtrip(self):
-        s5 = sym(5)
-        for i, perm in enumerate(itertools.permutations(range(5))):
-            assert parse_permutation(s5.labels[i], 5) == perm
-
-    def test_compact_cycle_form(self):
-        assert parse_permutation("(123)", 3) == parse_permutation("(1 2 3)", 3)
-
-    def test_bad_labels(self):
-        for bad in ("(1 1)", "(0 2)", "(9 1)", "(1)", "nonsense"):
-            with pytest.raises(FormatError):
-                parse_permutation(bad, 5)
+        # elements in lexicographic one-line order, labels in cycle notation
+        assert sym(3).labels == ("e", "(2 3)", "(1 2)", "(1 2 3)", "(1 3 2)", "(1 3)")
+        for k in range(1, 7):
+            G = sym(k)
+            assert all(G.element_by_label(label).index == i
+                       for i, label in enumerate(G.labels))
 
 
 def commutator(a, b):

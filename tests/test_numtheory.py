@@ -121,10 +121,6 @@ class TestPrimality:
         for n in range(2, 2000):
             assert is_probable_prime(n) == trial_division_prime(n)
 
-    def test_rounds_guard(self):
-        with pytest.raises(ValueError):
-            is_probable_prime(7, rounds=0)
-
 
 class TestRandomPrimeCongruent:
     def test_unique_candidate(self):
@@ -147,7 +143,7 @@ class TestRandomPrimeCongruent:
         assert p1 == p2
         assert p1 % 6 == 1
         assert 2**24 <= p1 <= 2**25
-        assert is_probable_prime(p1, rounds=40)
+        assert is_probable_prime(p1)
 
     def test_rejects_common_factor(self):
         with pytest.raises(ValueError):
