@@ -9,6 +9,11 @@ every instruction and the target), NOT appends the inverted target and
 retargets, OR is NOT-AND-NOT.  Instructions that do not depend on any
 input reference a reserved always-true pseudo-variable with index equal to
 the circuit's input count.
+
+A last pass compacts the program: it moves every constant instruction to
+the end by conjugation, merges neighbours on the same variable and drops
+identities, so constants compile to at most one trailing instruction and
+a NOT costs no instruction of its own.
 """
 
 from __future__ import annotations
@@ -165,7 +170,7 @@ def compile_barrington(c: Circuit, H: FiniteGroup) -> GroupProgram:
             case _:
                 raise Error(f"unhandled gate {gate!r}")
         programs.append(instrs)
-    result = GroupProgram(group=H, instructions=programs[c.output],
+    result = GroupProgram(group=H, instructions=_compact(H, programs[c.output], pseudo),
                           target=gamma, input_count=c.input_count)
     bound = SIZE_BASE * 4 ** depth
     if len(result) > bound:
@@ -187,6 +192,27 @@ def _and(H: FiniteGroup, left, right, alpha: int, beta: int, gamma: int, cache: 
     part3 = _recode(H, left, gamma, H.inverse(alpha), cache)
     part4 = _recode(H, right, gamma, H.inverse(beta), cache)
     return part1 + part2 + part3 + part4
+
+
+def _compact(H: FiniteGroup, instrs, pseudo: int):
+    # Move every pseudo-variable instruction to the end by conjugation,
+    # e * g^x = (e g e^-1)^x * e, merge neighbours on one variable,
+    # g1^x g2^x = (g1 g2)^x, and drop identities; the product is unchanged
+    # on every assignment.
+    out: list[tuple[int, int]] = []
+    e = H.identity
+    for el, var in instrs:
+        if var == pseudo:
+            e = H.mul(e, el)
+            continue
+        el = H.mul(H.mul(e, el), H.inverse(e))
+        if out and out[-1][1] == var:
+            el = H.mul(out.pop()[0], el)
+        if el != H.identity:
+            out.append((el, var))
+    if e != H.identity:
+        out.append((e, pseudo))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,11 @@ one key passes one list that keeps them (``decrypt_cyclic``'s
 ``characters``); each letter then costs one power mod p, plus one mod q
 for even m, and the transversal characters are computed once per list.
 The inverses R[i]^-1 are computed once per public key
-(``inverse_transversal``) and the m-th roots of unity once per secret key
-(``roots_of_unity``).
+(``inverse_transversal``, by batch inversion): the secret-key parsers
+(``parse_cyclic_sk`` here, ``general.parse_general_sk`` for each factor)
+fill them when the key loads, so the key owner's decryptions find them
+ready; other keys fill them on first use.  The m-th roots of unity are
+computed once per secret key (``roots_of_unity``).
 """
 
 from __future__ import annotations
@@ -96,18 +99,33 @@ class CyclicPublicKey:
     m: int
     n: int
     transversal: tuple[int, ...]
-    # Filled on first use.  A declared field keeps the instance's compact
-    # attribute storage; a cached_property writes to __dict__, which makes
-    # every later attribute read on the key slower in CPython 3.11.
+    # Filled when a secret key for it loads, or else on first use.  A
+    # declared field keeps the instance's compact attribute storage; a
+    # cached_property writes to __dict__, which makes every later attribute
+    # read on the key slower in CPython 3.11.
     _inverse_transversal: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
     def inverse_transversal(self) -> tuple[int, ...]:
-        """R[i]^-1 mod n for each i, the multipliers of the decryption scan."""
+        """R[i]^-1 mod n for each i, the multipliers of the decryption scan.
+
+        Montgomery's batch inversion: one mod_inverse of the product of all
+        entries and about 3m multiplications, in place of m inversions.
+        """
         if self._inverse_transversal is None:
-            object.__setattr__(self, "_inverse_transversal", tuple(
-                mod_inverse(r, self.n) for r in self.transversal))
+            n, R = self.n, self.transversal
+            prefix = [1]  # prefix[i] = R[0] * ... * R[i-1]
+            for r in R[:-1]:
+                prefix.append(prefix[-1] * r % n)
+            # (R[0] * ... * R[i])^-1 at the top of each step below
+            inv = mod_inverse(prefix[-1] * R[-1], n)
+            out = [0] * self.m
+            for i in range(self.m - 1, 0, -1):
+                out[i] = inv * prefix[i] % n
+                inv = inv * R[i] % n
+            out[0] = inv
+            object.__setattr__(self, "_inverse_transversal", tuple(out))
         return self._inverse_transversal
 
 
@@ -453,4 +471,5 @@ def parse_cyclic_sk(text: str, pk: CyclicPublicKey) -> CyclicSecretKey:
         raise FormatError(str(exc)) from None
     if p * q != pk.n:
         raise FormatError("secret key does not match the public modulus")
+    pk.inverse_transversal  # the key owner's decryptions find it filled
     return sk

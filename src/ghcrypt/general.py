@@ -171,6 +171,18 @@ def keygen_general(H: FiniteGroup, bits: int, rng: random.Random
     return pk, GeneralSecretKey(tuple(secrets))
 
 
+def _randomization(pk: GeneralPublicKey, phi_steps: int | None,
+                   psi_length: int | None) -> tuple[int, int]:
+    """The randomization sizes with their defaults, 2|H| and |H|; Error
+    when either is negative."""
+    steps = 2 * pk.group.order if phi_steps is None else phi_steps
+    length = pk.group.order if psi_length is None else psi_length
+    if steps < 0 or length < 0:
+        raise Error(f"randomization sizes must be nonnegative, got "
+                    f"phi steps {steps} and psi length {length}")
+    return steps, length
+
+
 def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
              phi_steps: int | None = None,
              psi_length: int | None = None) -> tuple[PhiWitness, PsiWitness]:
@@ -182,8 +194,7 @@ def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
     evaluated pair always maps to the identity of H.
     """
     H = pk.group
-    steps = 2 * H.order if phi_steps is None else phi_steps
-    length = H.order if psi_length is None else psi_length
+    steps, length = _randomization(pk, phi_steps, psi_length)
     a = random_phi_witness(pk.family, steps, rng)
     letters: list[PsiLetter] = []
     acc = H.identity
@@ -216,7 +227,8 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
         # normalize passes, several times the cost of this product.
         fpk = pk.family.public(1)
         _, e = pk.coordinates[h.index]
-        a = 1 if phi_steps == 0 and psi_length == 0 else random_unit(fpk.n, rng)
+        bare = _randomization(pk, phi_steps, psi_length) == (0, 0)
+        a = 1 if bare else random_unit(fpk.n, rng)
         value = pow(a, fpk.m, fpk.n) * (fpk.transversal[e] if e else 1) % fpk.n
         return GeneralCiphertext(normalize(pk.family, [(1, value)], validate=False))
     wa, wb = sample_A(pk, rng, phi_steps=phi_steps, psi_length=psi_length)
@@ -362,4 +374,6 @@ def parse_general_sk(text: str, pk: GeneralPublicKey) -> GeneralSecretKey:
             raise FormatError(f"factor {fi}: secret key does not match its factor")
     if len(secrets) != pk.family.count:
         raise FormatError("secret count does not match factor count")
+    for fpk in pk.family.factors:
+        fpk.inverse_transversal  # the key owner's decryptions find it filled
     return GeneralSecretKey(tuple(secrets))

@@ -90,13 +90,10 @@ class TestCompile:
         assert p.target != p.group.identity
 
     def test_depth_cap(self):
-        def not_chain(depth):
-            gates = "".join(f"w{i + 1} = NOT w{i}\n" for i in range(depth))
-            return parse_circuit(f"INPUTS w0\n{gates}OUTPUT w{depth}\n")
-
         with pytest.raises(DepthExceeded):
             compile_barrington(not_chain(DEPTH_CAP + 1), sym(5))
-        assert len(compile_barrington(not_chain(DEPTH_CAP), sym(5))) == DEPTH_CAP + 1
+        # an even number of NOTs compacts to the identity's one instruction
+        assert len(compile_barrington(not_chain(DEPTH_CAP), sym(5))) == 1
 
     def test_recoding_soundness(self):
         # conjugating all instructions and the target by a fixed element
@@ -115,6 +112,45 @@ class TestCompile:
                 target=H.mul(H.mul(t, p.target), ti),
                 input_count=p.input_count)
             assert exact_simulation(c, conj)
+
+
+def not_chain(depth):
+    gates = "".join(f"w{i + 1} = NOT w{i}\n" for i in range(depth))
+    return parse_circuit(f"INPUTS w0\n{gates}OUTPUT w{depth}\n")
+
+
+def or_and_chain(inputs):
+    """OR/AND gates alternating along a chain of ``inputs`` inputs."""
+    names = [f"x{k}" for k in range(1, inputs + 1)]
+    lines = ["INPUTS " + " ".join(names)]
+    acc, op = names[0], "OR"
+    for k, name in enumerate(names[1:], start=1):
+        lines.append(f"g{k} = {op} {acc} {name}")
+        acc, op = f"g{k}", "AND" if op == "OR" else "OR"
+    return parse_circuit("\n".join(lines + [f"OUTPUT {acc}"]) + "\n")
+
+
+class TestCompaction:
+    @pytest.mark.parametrize(
+        "circuit", [fixture(name) for name in FIXTURES]
+        + [not_chain(d) for d in range(DEPTH_CAP + 1)],
+        ids=FIXTURES + [f"not{d}" for d in range(DEPTH_CAP + 1)])
+    def test_compact_form(self, circuit):
+        p = compile_barrington(circuit, sym(5))
+        assert exact_simulation(circuit, p)
+        elements = [el for el, _ in p.instructions]
+        variables = [var for _, var in p.instructions]
+        assert p.group.identity not in elements
+        assert all(a != b for a, b in zip(variables, variables[1:]))
+        pseudo = [j for j, var in enumerate(variables) if var == circuit.input_count]
+        assert pseudo in ([], [len(p) - 1])
+
+    @pytest.mark.parametrize("circuit, size", [
+        (or_and_chain(6), 94), (or_and_chain(9), 766), (fixture("maj3.bc"), 40),
+        (fixture("th2of4.bc"), 160), (fixture("or4.bc"), 16)],
+        ids=["chain6", "chain9", "maj3", "th2of4", "or4"])
+    def test_sizes(self, circuit, size):
+        assert len(compile_barrington(circuit, sym(5))) == size
 
 
 class TestEval:

@@ -197,6 +197,24 @@ class TestProtocols:
                          "--seed", "q", "--phi-steps", "2", "--psi-length", "1")
         assert rc == 0 and out.strip() == "(1 2 3)"
 
+    @pytest.mark.parametrize("flag, value", [("--phi-steps", "-1"), ("--psi-length", "-2")])
+    def test_negative_randomization_sizes(self, sym3_dir, tmp_path, capsys, flag, value):
+        gc = tmp_path / "mul.gcirc"
+        gc.write_text("GCIRC v1\nINPUTS y1 y2\nw = MUL y1 y2\nOUTPUT w\n")
+        d = tmp_path / "k5"
+        rc, _, _ = run(capsys, "keygen", "--group", "sym5", "--bits", "8",
+                       "--seed", "p", "--out", str(d))
+        assert rc == 0
+        for argv in (["protocol", "circuit", "--pk", str(d / "pk.txt"),
+                      "--sk", str(d / "sk.txt"), "--circuit", str(DATA / "and2.bc"),
+                      "--input", "11"],
+                     ["protocol", "input", "--pk", str(sym3_dir / "pk.txt"),
+                      "--sk", str(sym3_dir / "sk.txt"), "--gcircuit", str(gc),
+                      "--inputs", "(1 2),(1 3)"]):
+            rc, out, err = run(capsys, *argv, "--seed", "n", flag, value)
+            assert rc == 1 and err.startswith("error:"), err
+            assert "Traceback" not in err and out == ""
+
     def test_missing_args(self, sym3_dir, capsys):
         rc, _, err = run(capsys, "protocol", "circuit",
                          "--pk", str(sym3_dir / "pk.txt"),

@@ -303,6 +303,28 @@ class TestDecryptScan:
         assert len(pk.inverse_transversal) == pk.m
         assert all(r * r_inv % pk.n == 1
                    for r, r_inv in zip(pk.transversal, pk.inverse_transversal))
+        # the batch inversion gives each entry's own inverse
+        for m in (2, 3, 4, 5, 6, 64):
+            pk, _ = keygen_cyclic(m, 16, random.Random(700 + m))
+            fresh = parse_cyclic_pk(format_cyclic_pk(pk))
+            assert fresh.inverse_transversal == tuple(
+                mod_inverse(r, pk.n) for r in pk.transversal)
+
+    def test_parsed_secret_key_decrypts_without_inversions(self, monkeypatch):
+        from ghcrypt import cyclic
+        pk, sk = keygen_cyclic(6, 16, random.Random(78))
+        pk2 = parse_cyclic_pk(format_cyclic_pk(pk))
+        sk2 = parse_cyclic_sk(format_cyclic_sk(sk), pk2)
+        c = encrypt_cyclic(pk2, 5, random.Random(79))
+        calls = [0]
+
+        def counting_mod_inverse(*args):
+            calls[0] += 1
+            return mod_inverse(*args)
+
+        monkeypatch.setattr(cyclic, "mod_inverse", counting_mod_inverse)
+        assert decrypt_cyclic(sk2, pk2, c) == 5
+        assert calls[0] == 0
 
     def test_non_unit_and_jacobi_minus_one(self):
         for m in (2, 4, 6):

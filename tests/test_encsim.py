@@ -54,6 +54,17 @@ def sym5_keys():
 SMALL = dict(phi_steps=3, psi_length=2)
 
 
+def or_and_chain(inputs):
+    """OR/AND gates alternating along a chain of ``inputs`` inputs."""
+    names = [f"x{k}" for k in range(1, inputs + 1)]
+    lines = ["INPUTS " + " ".join(names)]
+    acc, op = names[0], "OR"
+    for k, name in enumerate(names[1:], start=1):
+        lines.append(f"g{k} = {op} {acc} {name}")
+        acc, op = f"g{k}", "AND" if op == "OR" else "OR"
+    return parse_circuit("\n".join(lines + [f"OUTPUT {acc}"]) + "\n")
+
+
 class TestEncryptProgram:
     def test_empty_program(self, sym5_keys):
         pk, _ = sym5_keys
@@ -258,15 +269,9 @@ class TestProtocolCircuit:
         assert format_transcript(t1) != format_transcript(t2)
 
     def test_depth8_chain(self):
-        # 9-input OR/AND chain: 1,616 instructions, so Bob folds words of
-        # ~10^4 letters, which is only practical with seam-only products
-        names = [f"x{k}" for k in range(1, 10)]
-        lines = ["INPUTS " + " ".join(names)]
-        acc, op = names[0], "OR"
-        for k, name in enumerate(names[1:], start=1):
-            lines.append(f"g{k} = {op} {acc} {name}")
-            acc, op = f"g{k}", "AND" if op == "OR" else "OR"
-        c = parse_circuit("\n".join(lines + [f"OUTPUT {acc}"]) + "\n")
+        # 9-input OR/AND chain: 766 instructions, so Bob folds words of
+        # thousands of letters, which is only practical with seam-only products
+        c = or_and_chain(9)
         keys = keygen_general(sym(5), 16, random.Random(58))
         assigned = [(1,) * 9, (0,) * 9, (1, 0, 1, 1, 0, 1, 1, 0, 1)]
         assert {eval_circuit(c, bits) for bits in assigned} == {0, 1}
@@ -276,6 +281,32 @@ class TestProtocolCircuit:
                                  phi_steps=2, psi_length=1)
             bit, _ = protocol_encrypted_circuit(alice, CircuitBob(pk, bits))
             assert bit == eval_circuit(c, bits)
+
+    def test_alice_reads_bobs_input(self):
+        """The protocol hides the circuit from Bob, not Bob's input from
+        Alice.  Bob's product keeps the interior letters of every word he
+        selects, and Alice made every word, so each letter found in only
+        one variable's words tells her whether Bob set that variable."""
+        c = or_and_chain(6)
+        pk, sk = keygen_general(sym(5), 16, random.Random(61))
+        for bits in itertools.product((0, 1), repeat=6):
+            alice = CircuitAlice(sk, pk, c, random.Random(f"audit:{bits}"),
+                                 phi_steps=4, psi_length=2)
+            program_text = alice.program_message()
+            result = parse_gword(CircuitBob(pk, bits).evaluation_message(program_text),
+                                 pk.family)
+            program = parse_encrypted_program(program_text, pk)
+            owners: dict = {}
+            for word, var in program.instructions:
+                for letter in word.letters:
+                    owners.setdefault(letter, set()).add(var)
+            found = set(result.letters)
+            guess = tuple(
+                int(any(letter in found and owners[letter] == {v}
+                        for word, var in program.instructions if var == v
+                        for letter in word.letters[1:-1]))
+                for v in range(6))
+            assert guess == bits
 
     def test_bob_uses_public_data_only(self, sym5_keys):
         pk, _ = sym5_keys

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from ghcrypt.errors import FormatError
+from ghcrypt import cyclic
+from ghcrypt.errors import Error, FormatError
 from ghcrypt.freeprod import FactorFamily, combined_P, phi_map, psi_map
 from ghcrypt.general import (
     GeneralCiphertext,
@@ -23,7 +24,7 @@ from ghcrypt.general import (
     sample_A,
 )
 from ghcrypt.groupcore import FiniteGroup, cyclic_group
-from ghcrypt.numtheory import jacobi
+from ghcrypt.numtheory import jacobi, mod_inverse
 
 
 def tampered_pk_text(pk, changes):
@@ -180,6 +181,14 @@ class TestSampleA:
         a, b = sample_A(pk, random.Random(1), phi_steps=0, psi_length=1)
         assert len(b) in (1, 2)  # second letter cancels the image if needed
 
+    @pytest.mark.parametrize("sizes", [{"phi_steps": -1}, {"psi_length": -2}])
+    def test_negative_sizes_rejected(self, sym3_keys, z6_keys, sizes):
+        with pytest.raises(Error):
+            sample_A(sym3_keys[0], random.Random(0), **sizes)
+        for pk, _ in (sym3_keys, z6_keys):  # z6 takes the one-factor path
+            with pytest.raises(Error):
+                encrypt_general(pk, pk.group.element(1), random.Random(0), **sizes)
+
     def test_pairs_map_into_kernel(self, sym3_keys, z6_keys):
         for pk, sk in (sym3_keys, z6_keys):
             fam = pk.family
@@ -282,6 +291,21 @@ class TestKeyFiles:
         h = pk2.group.element(1)
         c = encrypt_general(pk2, h, rng)
         assert decrypt_general(sk2, pk2, c).index == 1
+
+    def test_parsed_secret_key_decrypts_without_inversions(self, sym3_keys, monkeypatch):
+        pk, sk = sym3_keys
+        pk2 = parse_general_pk(format_general_pk(pk))
+        sk2 = parse_general_sk(format_general_sk(sk), pk2)
+        c = encrypt_general(pk2, pk2.group.element(4), random.Random(51))
+        calls = [0]
+
+        def counting_mod_inverse(*args):
+            calls[0] += 1
+            return mod_inverse(*args)
+
+        monkeypatch.setattr(cyclic, "mod_inverse", counting_mod_inverse)
+        assert decrypt_general(sk2, pk2, c).index == 4
+        assert calls[0] == 0
 
     def test_bad_files(self, sym3_keys):
         pk, sk = sym3_keys
