@@ -107,25 +107,16 @@ def find_commutator_pair(H: FiniteGroup) -> tuple[GroupElement, GroupElement]:
         f"{H.name} has no order-5 pair with an order-5 commutator")
 
 
-def _conjugator(H: FiniteGroup, src: int, dst: int, cache: dict) -> int:
-    """Some c with c * src * c^-1 = dst, searched by element index."""
-    key = (src, dst)
-    if key not in cache:
-        for c in range(H.order):
-            if H.mul(H.mul(c, src), H.inverse(c)) == dst:
-                cache[key] = c
-                break
-        else:
-            raise NoCommutatorPair(
-                f"elements {src} and {dst} are not conjugate in {H.name}")
-    return cache[key]
+def _conjugator(H: FiniteGroup, src: int, dst: int) -> int:
+    """The first c by element index with c * src * c^-1 = dst."""
+    for c in range(H.order):
+        if H.mul(H.mul(c, src), H.inverse(c)) == dst:
+            return c
+    raise NoCommutatorPair(f"elements {src} and {dst} are not conjugate in {H.name}")
 
 
-def _recode(H: FiniteGroup, instrs, src: int, dst: int, cache: dict):
-    """Conjugate a program so its target moves from src to dst."""
-    if src == dst:
-        return instrs
-    c = _conjugator(H, src, dst, cache)
+def _recode(H: FiniteGroup, instrs, c: int):
+    """Conjugate every instruction by c, so the target t becomes c t c^-1."""
     ci = H.inverse(c)
     return tuple((H.mul(H.mul(c, el), ci), var) for el, var in instrs)
 
@@ -145,11 +136,25 @@ def compile_barrington(c: Circuit, H: FiniteGroup) -> GroupProgram:
     alpha, beta = sigma.index, tau.index
     gamma = H.mul(H.mul(alpha, beta),
                   H.mul(H.inverse(alpha), H.inverse(beta)))
-    cache: dict = {}
-    # fail early if the gadget's conjugations are unavailable in H
-    for dst in (alpha, beta, H.inverse(alpha), H.inverse(beta), H.inverse(gamma)):
-        _conjugator(H, gamma, dst, cache)
+    # every recoding's conjugator, found before any instruction is built:
+    # gamma to alpha, beta, alpha^-1, beta^-1 for AND, gamma^-1 to gamma
+    # for NOT
+    to_alpha, to_beta, to_ialpha, to_ibeta = (
+        _conjugator(H, gamma, dst)
+        for dst in (alpha, beta, H.inverse(alpha), H.inverse(beta)))
+    to_gamma = _conjugator(H, H.inverse(gamma), gamma)
     pseudo = c.input_count
+
+    def not_(instrs):
+        # append target^-1: evaluates to gamma^-1 on 0 and identity on 1,
+        # i.e. a program for the negation with target gamma^-1; recode back
+        return _recode(H, instrs + ((H.inverse(gamma), pseudo),), to_gamma)
+
+    def and_(left, right):
+        # commutator gadget: alpha^u beta^v alpha^-u beta^-v = gamma iff
+        # u = v = 1
+        return (_recode(H, left, to_alpha) + _recode(H, right, to_beta)
+                + _recode(H, left, to_ialpha) + _recode(H, right, to_ibeta))
 
     programs: list[tuple[tuple[int, int], ...]] = []
     for gate in c.gates:
@@ -159,14 +164,11 @@ def compile_barrington(c: Circuit, H: FiniteGroup) -> GroupProgram:
             case Const(bit):
                 instrs = ((gamma, pseudo),) if bit else ()
             case Not(a):
-                instrs = _not(H, programs[a], gamma, pseudo, cache)
+                instrs = not_(programs[a])
             case And(a, b):
-                instrs = _and(H, programs[a], programs[b], alpha, beta, gamma, cache)
+                instrs = and_(programs[a], programs[b])
             case Or(a, b):
-                na = _not(H, programs[a], gamma, pseudo, cache)
-                nb = _not(H, programs[b], gamma, pseudo, cache)
-                both = _and(H, na, nb, alpha, beta, gamma, cache)
-                instrs = _not(H, both, gamma, pseudo, cache)
+                instrs = not_(and_(not_(programs[a]), not_(programs[b])))
             case _:
                 raise Error(f"unhandled gate {gate!r}")
         programs.append(instrs)
@@ -176,22 +178,6 @@ def compile_barrington(c: Circuit, H: FiniteGroup) -> GroupProgram:
     if len(result) > bound:
         raise Error(f"compiled size {len(result)} exceeds bound {bound}")
     return result
-
-
-def _not(H: FiniteGroup, instrs, gamma: int, pseudo: int, cache: dict):
-    # append target^-1: evaluates to gamma^-1 on 0 and identity on 1,
-    # i.e. a program for the negation with target gamma^-1; recode back.
-    flipped = instrs + ((H.inverse(gamma), pseudo),)
-    return _recode(H, flipped, H.inverse(gamma), gamma, cache)
-
-
-def _and(H: FiniteGroup, left, right, alpha: int, beta: int, gamma: int, cache: dict):
-    # commutator gadget: alpha^u beta^v alpha^-u beta^-v = gamma iff u = v = 1
-    part1 = _recode(H, left, gamma, alpha, cache)
-    part2 = _recode(H, right, gamma, beta, cache)
-    part3 = _recode(H, left, gamma, H.inverse(alpha), cache)
-    part4 = _recode(H, right, gamma, H.inverse(beta), cache)
-    return part1 + part2 + part3 + part4
 
 
 def _compact(H: FiniteGroup, instrs, pseudo: int):

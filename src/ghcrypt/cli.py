@@ -144,7 +144,7 @@ def _parse_cyclic_cipher(text: str, pk) -> cyclic.CyclicCiphertext:
     if len(tokens) != 1:
         raise FormatError("cyclic ciphertext files hold one decimal line")
     (value,) = ints(tokens, "cyclic ciphertext")
-    if not 0 < value < pk.n or not cyclic.in_group_G(pk, value):
+    if not cyclic.in_group_G(pk, value):
         raise FormatError(f"ciphertext {value} is not in G(n, m) within 1..n-1")
     return cyclic.CyclicCiphertext(value)
 

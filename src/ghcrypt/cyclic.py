@@ -3,9 +3,10 @@
 The public key is a modulus n = p*q together with a transversal
 R[0..m-1] of the subgroup of m-th powers inside
 
-    G(n, m) = { g in Z_n^* : jacobi(g, n) in {1, (-1)^(m mod 2)} }
+    G(n, m) = { g in Z_n^* : (g | n) in {1, (-1)^(m mod 2)} }
 
-(all units for odd m, the Jacobi-symbol-1 half for even m).  Encryption of
+with (g | n) the Jacobi symbol (all units for odd m, the Jacobi-symbol-1
+half for even m); ``in_group_G`` decides membership.  Encryption of
 the plaintext i is a^m * R[i] for a fresh random unit a; multiplying
 ciphertexts adds plaintexts mod m.  The trapdoor is the factorization of n:
 p = 1 (mod m) and gcd(m, q-1) = gcd(m, 2), so membership in the group of
@@ -35,7 +36,7 @@ computed once per secret key (``roots_of_unity``).
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -182,12 +183,18 @@ def random_unit(n: int, rng: random.Random) -> int:
 
 
 def in_group_G(pk: CyclicPublicKey, g: int) -> bool:
-    """Membership in the ciphertext group: every unit for odd m, the units
-    of Jacobi symbol 1 for even m."""
-    g %= pk.n
-    if gcd(g, pk.n) != 1:
-        raise NotAUnit(f"{g} is not a unit modulo {pk.n}")
-    return pk.m % 2 == 1 or jacobi(g, pk.n) == 1
+    """True when g is an element of the ciphertext group G(n, m) written as
+    a residue 0 < g < n: a unit, of Jacobi symbol 1 for even m.
+
+    The one membership rule for ciphertexts, word letters and transversal
+    entries.  It never raises and never reduces g: a non-unit or a value
+    outside 1..n-1 is simply not a member.  For even m the Jacobi symbol
+    alone decides, since it is 0 on every non-unit.
+    """
+    n = pk.n
+    if not 0 < g < n:
+        return False
+    return jacobi(g, n) == 1 if pk.m % 2 == 0 else gcd(g, n) == 1
 
 
 def encrypt_cyclic(pk: CyclicPublicKey, plaintext: int, rng: random.Random) -> CyclicCiphertext:
@@ -423,24 +430,16 @@ def _parse_fields(text: str, magic: str, fields: list[str]) -> dict[str, str]:
     return out
 
 
-def check_cyclic_pk(pk: CyclicPublicKey, entries: Iterable[int] | None = None) -> None:
-    """Raise FormatError unless n is odd and the transversal entries are
-    residues 0 < r < n inside the ciphertext group G(n, m).
-
-    ``entries`` names the indices whose group membership is checked here
-    (default: all); a caller that checks the others elsewhere passes the
-    rest, so no entry costs two Jacobi symbols.
-    """
+def check_cyclic_pk(pk: CyclicPublicKey) -> None:
+    """Raise FormatError unless n is odd and at least 3 and every
+    transversal entry is an element of G(n, m) (``in_group_G``)."""
     n = pk.n
     if n < 3 or n % 2 == 0:
         raise FormatError(f"modulus {n} must be odd and at least 3")
     for r in pk.transversal:
-        if not 0 < r < n:
-            raise FormatError(f"transversal entry {r} is not a residue modulo {n}")
-    for i in range(pk.m) if entries is None else entries:
-        r = pk.transversal[i]
-        if gcd(r, n) != 1 or not in_group_G(pk, r):
-            raise FormatError(f"transversal entry {r} is outside the ciphertext group")
+        if not in_group_G(pk, r):
+            raise FormatError(f"transversal entry {r} is not an element of "
+                              f"G({n}, {pk.m}) within 1..{n - 1}")
 
 
 def parse_cyclic_pk(text: str) -> CyclicPublicKey:

@@ -139,11 +139,11 @@ def parse_encrypted_program(text: str, pk: GeneralPublicKey) -> EncryptedProgram
         raise FormatError(f"target {target} out of range")
     instructions = []
     for line in lines[1:]:
-        var_str, _, word_text = line.partition(" ")
+        var_str, *word = line.split(None, 1)
         (var,) = ints([var_str], f"instruction variable {var_str!r}")
         if not 0 <= var <= input_count:
             raise FormatError(f"variable {var} out of range")
-        instructions.append((parse_gword(word_text, pk.family), var))
+        instructions.append((parse_gword("".join(word), pk.family), var))
     return EncryptedProgram(pk=pk, instructions=tuple(instructions),
                             target=target, input_count=input_count)
 

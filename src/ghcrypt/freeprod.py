@@ -7,10 +7,12 @@ identity letters are never stored, so two words are equal in the group
 exactly when they are equal as sequences.
 
 ``normalize`` is the one path for raw letters (parsed text, evaluated
-witnesses, transversal words): one stack pass, linear in the input.  Words
-already in normal form never go through it again.  Their product can only
-merge at the seam, because inside each operand adjacent letters lie in
-distinct factors (the normal form theorem for free products, Lyndon and
+witnesses, transversal words): one stack pass, linear in the input.  It
+does not check group membership: letters are checked where they enter,
+``parse_gword`` and ``p_phi`` holding each value to ``cyclic.in_group_G``.
+Words already in normal form never go through it again.  Their product can
+only merge at the seam, because inside each operand adjacent letters lie
+in distinct factors (the normal form theorem for free products, Lyndon and
 Schupp, *Combinatorial Group Theory*, ch. IV).  So ``g_multiply`` and the
 rotation in ``inverse_p_phi`` walk outwards from the seam while the facing
 letters share a factor: one step per cancelled pair, at most one merged
@@ -45,15 +47,16 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import Error, FormatError
+from .errors import Error, FormatError, records
 from .groupcore import FiniteGroup, GroupElement
-from .numtheory import jacobi, mod_inverse
+from .numtheory import mod_inverse
 from .cyclic import (
     CyclicCiphertext,
     CyclicPublicKey,
     CyclicSecretKey,
     OracleFailure,
     decrypt_cyclic,
+    in_group_G,
     inverse_P_cyclic,
     random_unit,
 )
@@ -144,24 +147,22 @@ def empty_word(family: FactorFamily) -> GWord:
 
 
 def _check_letter(pk: CyclicPublicKey, i: int, v: int) -> None:
-    n = pk.n
-    if not 0 < v < n or gcd(v, n) != 1:
-        raise LetterOutOfGroup(f"{v} is not a unit modulo {n} (factor {i})")
-    if pk.m % 2 == 0 and jacobi(v, n) != 1:
+    """LetterOutOfGroup unless ``in_group_G`` holds for v in factor i."""
+    if not in_group_G(pk, v):
         raise LetterOutOfGroup(
-            f"{v} has Jacobi symbol -1 modulo {n} (factor {i}, even order)")
+            f"{v} is not an element of G({pk.n}, {pk.m}) within 1..{pk.n - 1}"
+            f" (factor {i})")
 
 
 def normalize(family: FactorFamily,
-              letters: Iterable[GLetter | tuple[int, int]],
-              *, validate: bool = True) -> GWord:
+              letters: Iterable[GLetter | tuple[int, int]]) -> GWord:
     """Reduce a raw letter sequence to normal form.
 
-    Adjacent same-factor letters are multiplied in their factor, identity
-    letters are dropped, and newly adjacent pairs are re-merged (a stack
-    pass, so the result is independent of merge order).  Every factor
-    index is range-checked; ``validate`` also checks that each value lies
-    in its factor group.
+    Values are reduced mod their factor's modulus, adjacent same-factor
+    letters are multiplied in their factor, identity letters are dropped,
+    and newly adjacent pairs are re-merged (a stack pass, so the result is
+    independent of merge order).  Every factor index is range-checked;
+    group membership of the values is the caller's to check.
     """
     factors = family.factors
     count = len(factors)
@@ -174,8 +175,6 @@ def normalize(family: FactorFamily,
         pk = factors[i - 1] if 0 < i <= count else family.public(i)  # raises
         n = pk.n
         v %= n
-        if validate:
-            _check_letter(pk, i, v)
         if v == 1:
             continue
         if out and out[-1].factor == i:
@@ -362,8 +361,9 @@ def p_phi(family: FactorFamily, witness: PhiWitness) -> GWord:
     kernel of ``phi_map`` by construction.
 
     A preimage letter a must be a unit: then a^m lies in the factor group
-    (its Jacobi symbol is jacobi(a)^m, 1 for even m), so no Jacobi symbol
-    is needed.  Plain letters get the full letter check.
+    (its Jacobi symbol is that of a to the m-th power, 1 for even m), so no
+    Jacobi symbol is needed.  A plain letter must be an element of its
+    factor group written as a residue (``cyclic.in_group_G``).
     """
     factors = family.factors
     count = len(factors)
@@ -377,10 +377,9 @@ def p_phi(family: FactorFamily, witness: PhiWitness) -> GWord:
                 raise LetterOutOfGroup(f"{v} is not a unit modulo {n} (factor {i})")
             v = pow(v, pk.m, n)
         else:
-            v %= n
             _check_letter(pk, i, v)
         raw.append((i, v))
-    return normalize(family, raw, validate=False)
+    return normalize(family, raw)
 
 
 def random_nonkernel_value(family: FactorFamily, i: int, rng: random.Random) -> int:
@@ -489,7 +488,7 @@ def p_psi(family: FactorFamily, witness: PsiWitness) -> GWord:
         if not 0 <= letter.index < pk.m:
             raise ValueError(f"transversal index {letter.index} out of range")
         raw.append((i, pk.transversal[letter.index]))
-    return normalize(family, raw, validate=False)
+    return normalize(family, raw)
 
 
 def combined_P(family: FactorFamily, a: PhiWitness, b: PsiWitness) -> GWord:
@@ -517,22 +516,31 @@ def format_gword(w: GWord) -> str:
 
 
 def parse_gword(text: str, family: FactorFamily) -> GWord:
-    text = text.strip()
-    if not text:
+    """Parse the ``format_gword`` encoding of a word over ``family``.
+
+    The text is read through ``errors.records``, so it takes '#' comments
+    and blank lines like every other artifact.  Each ``factor:value`` token
+    names a factor of the family and an element of its group written as a
+    residue (``cyclic.in_group_G``), else LetterOutOfGroup; the letters are
+    then normalized.
+    """
+    tokens = [token for line in records(text) for token in line.split()]
+    if not tokens:
         raise FormatError("empty word encoding (use 'e' for the identity)")
-    if text == "e":
+    if tokens == ["e"]:
         return empty_word(family)
-    count = family.count
+    factors = family.factors
     raw = []
-    for token in text.split():
+    for token in tokens:
         factor_str, sep, value_str = token.partition(":")
         if not sep:
             raise FormatError(f"bad word token {token!r}")
-        try:
+        try:  # errors.ints, called per token, added a tenth to this parse
             factor, value = int(factor_str), int(value_str)
         except ValueError:
             raise FormatError(f"bad word token {token!r}") from None
-        if not 1 <= factor <= count:
-            raise FormatError(f"factor {factor} out of range 1..{count}")
+        if not 1 <= factor <= len(factors):
+            raise FormatError(f"factor {factor} out of range 1..{len(factors)}")
+        _check_letter(factors[factor - 1], factor, value)
         raw.append((factor, value))
     return normalize(family, raw)

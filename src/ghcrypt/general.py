@@ -41,7 +41,6 @@ from .freeprod import (
     psi_map,
     random_phi_witness,
     format_gword,
-    parse_gword,
     trapdoor_oracle,
 )
 
@@ -114,8 +113,7 @@ class GeneralPublicKey:
         if not e:
             return empty_word(self.family)
         return normalize(self.family,
-                         [(factor, self.family.public(factor).transversal[e])],
-                         validate=False)
+                         [(factor, self.family.public(factor).transversal[e])])
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
         bare = _randomization(pk, phi_steps, psi_length) == (0, 0)
         a = 1 if bare else random_unit(fpk.n, rng)
         value = pow(a, fpk.m, fpk.n) * (fpk.transversal[e] if e else 1) % fpk.n
-        return GeneralCiphertext(normalize(pk.family, [(1, value)], validate=False))
+        return GeneralCiphertext(normalize(pk.family, [(1, value)]))
     wa, wb = sample_A(pk, rng, phi_steps=phi_steps, psi_length=psi_length)
     kernel_word = combined_P(pk.family, wa, wb)
     return GeneralCiphertext(g_multiply(kernel_word, pk.transversal_word(h.index)))
@@ -298,8 +296,7 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
     header(lines, "GHC-GENERAL-PK v1")
     group, idx = read_group(lines, 1)
     factors: list[CyclicPublicKey] = []
-    while idx < len(lines) and lines[idx].startswith("FACTOR "):
-        parts = lines[idx].split()
+    while idx < len(lines) and (parts := lines[idx].split())[0] == "FACTOR":
         if len(parts) < 5 or parts[4] != "R:":
             raise FormatError(f"bad factor line {lines[idx]!r}")
         fi, m, n, *transversal = ints(parts[1:4] + parts[5:], "factor line fields")
@@ -308,6 +305,7 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
         if len(transversal) != m:
             raise FormatError(f"factor {fi} transversal must list {m} elements")
         factors.append(CyclicPublicKey(m=m, n=n, transversal=tuple(transversal)))
+        check_cyclic_pk(factors[-1])
         idx += 1
     if not factors:
         raise FormatError("key lists no factors")
@@ -327,24 +325,17 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
     for i, gen in enumerate(generators, start=1):
         if pk.family.order(i) != group.order_of(gen):
             raise FormatError(f"factor {i} order does not match its generator")
-    # R[e] of each (factor, e) in coordinates, e >= 1, is a letter of a
-    # TRANSVERSAL word below and is validated when that word is parsed
-    in_words = {(i, e) for i, e in pk.coordinates.values() if e}
-    for i, fpk in enumerate(factors, start=1):
-        check_cyclic_pk(fpk, [e for e in range(fpk.m) if (i, e) not in in_words])
     if idx >= len(lines) or lines[idx] != "TRANSVERSAL":
         raise FormatError("missing TRANSVERSAL section")
     entries = lines[idx + 1:]
     if len(entries) != group.order - 1:
         raise FormatError("TRANSVERSAL must list every nonidentity element")
-    for entry in entries:
-        el_str, _, word_text = entry.partition(" ")
-        (el,) = ints([el_str], f"transversal element {el_str!r}")
-        if not 1 <= el < group.order:
-            raise FormatError(f"bad transversal element {el}")
-        expected = pk.transversal_word(el)
-        if parse_gword(word_text, pk.family) != expected:
-            raise FormatError(f"transversal entry for element {el} is inconsistent")
+    # the section repeats entries of the FACTOR lines, checked above, so
+    # each line must be spelled exactly as format_general_pk writes it
+    for el, entry in enumerate(entries, start=1):
+        expected = f"{el} {format_gword(pk.transversal_word(el))}"
+        if entry.split() != expected.split():
+            raise FormatError(f"TRANSVERSAL line {el} is not {expected!r}")
     return pk
 
 

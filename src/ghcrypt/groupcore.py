@@ -63,7 +63,7 @@ class FiniteGroup:
     """Immutable finite group defined by its multiplication table."""
 
     def __init__(self, table, labels=None, name: str = "custom"):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(map(tuple, table))
         self.order = len(rows)
         self.table = rows
         self.name = name

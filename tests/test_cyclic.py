@@ -143,8 +143,9 @@ class TestGroupMembership:
 
     def test_not_a_unit(self, key77):
         pk, _ = key77
-        with pytest.raises(NotAUnit):
-            in_group_G(pk, 7)
+        assert not in_group_G(pk, 7)
+        # 78 = -76 = 1 (mod 77), but neither is written as a residue 1..76
+        assert not any(in_group_G(pk, g) for g in (0, 77, 78, -76))
 
 
 class TestEncryptDecrypt:

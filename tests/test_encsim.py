@@ -360,6 +360,11 @@ class TestEncryptedProgramFiles:
         again = parse_encrypted_program(text, pk)
         assert again.instructions == ep.instructions
         assert again.target == ep.target
+        # a tab after each instruction's variable
+        head, *body = text.splitlines()
+        tabbed = "\n".join([head] + [line.replace(" ", "\t", 1) for line in body])
+        assert tabbed.count("\t") == len(ep.instructions) > 0
+        assert parse_encrypted_program(tabbed, pk).instructions == ep.instructions
 
     def test_bad_files(self, sym5_keys):
         pk, _ = sym5_keys

@@ -93,12 +93,6 @@ class TestNormalize:
         w = normalize(small_family, [(1, 2), (2, 4), (2, 58), (1, 3)])
         assert w.letters == (GLetter(1, 6),)
 
-    def test_letter_out_of_group(self, small_family):
-        with pytest.raises(LetterOutOfGroup):
-            normalize(small_family, [(1, 7)])  # shares a factor with 35
-        with pytest.raises(LetterOutOfGroup):
-            normalize(small_family, [(2, 2)])  # jacobi(2,77) = -1, even order
-
     def test_idempotent_and_order_independent(self, small_family):
         rng = random.Random(11)
         for _ in range(500):
@@ -162,7 +156,7 @@ class TestSeamMerge:
     the reference is normalize over the concatenated letters."""
 
     def reference(self, family, left, right):
-        return normalize(family, left + right, validate=False).letters
+        return normalize(family, left + right).letters
 
     def test_random_pairs(self, small_family):
         rng = random.Random(21)
@@ -527,6 +521,12 @@ class TestTextEncoding:
         for _ in range(50):
             w = normalize(small_family, random_raw_word(small_family, rng))
             assert parse_gword(format_gword(w), small_family) == w
+
+    def test_letter_out_of_group(self, small_family):
+        with pytest.raises(LetterOutOfGroup):
+            parse_gword("1:7", small_family)  # shares a factor with 35
+        with pytest.raises(LetterOutOfGroup):
+            parse_gword("2:2", small_family)  # jacobi(2,77) = -1, even order
 
     def test_bad_tokens(self, small_family):
         for bad in ("", "1", "1:xx", "0:5", "3:2", "1:7"):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ghcrypt.barrington import compile_barrington, format_program, parse_program
 from ghcrypt.circuit import parse_circuit
-from ghcrypt.cli import run_cli
+from ghcrypt.cli import _parse_cyclic_cipher, run_cli
 from ghcrypt.cyclic import (
     encrypt_cyclic,
     format_cyclic_pk,
@@ -30,7 +30,7 @@ from ghcrypt.cyclic import (
 )
 from ghcrypt.encsim import parse_encrypted_program, parse_group_circuit
 from ghcrypt.errors import Error
-from ghcrypt.freeprod import format_gword
+from ghcrypt.freeprod import format_gword, parse_gword
 from ghcrypt.general import (
     encrypt_general,
     format_general_pk,
@@ -106,6 +106,8 @@ def artifacts(tmp_path_factory):
         "csk": lambda t: parse_cyclic_sk(t, cpk),
         "gpk": parse_general_pk,
         "gsk": lambda t: parse_general_sk(t, gpk),
+        "cc": lambda t: _parse_cyclic_cipher(t, cpk),
+        "gc": lambda t: parse_gword(t, gpk.family),
     }
     return texts, parsers, tmp_path_factory.mktemp("fuzz")
 
@@ -120,6 +122,22 @@ def test_parser_raises_only_domain_errors(artifacts, name, edits):
         parsers[name](mutate(texts[name], edits))
     except Error:
         pass
+
+
+# a comparable form of the parsed objects that have no value equality
+SAME = {"group": format_group, "gpk": format_general_pk}
+
+
+@pytest.mark.parametrize("name", ["group", "program", "eprog", "gcirc", "circuit",
+                                  "cpk", "csk", "gpk", "gsk", "cc", "gc"])
+def test_comments_and_blank_lines(artifacts, name):
+    # the README rule: every artifact text takes '#' comments and blank lines
+    texts, parsers, _ = artifacts
+    lines = [line + "  # c" for line in texts[name].splitlines()]
+    lines.insert(len(lines) // 2, "")
+    same = SAME.get(name, lambda x: x)
+    parse = parsers[name]
+    assert same(parse("\n".join(lines) + "\n")) == same(parse(texts[name]))
 
 
 COMMANDS = {

@@ -319,16 +319,44 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             parse_general_sk("GHC-GENERAL-SK v1\nFACTOR 1 3 5\n", pk)
 
+    def test_tab_separated_fields(self, sym3_keys):
+        # a tab after FACTOR and after each TRANSVERSAL element
+        pk, _ = sym3_keys
+        text = format_general_pk(pk)
+        head, sep, section = text.partition("TRANSVERSAL\n")
+        tabbed = head.replace("FACTOR ", "FACTOR\t") + sep + "".join(
+            line.replace(" ", "\t", 1) + "\n" for line in section.splitlines())
+        assert tabbed.count("\t") == 2 * (pk.group.order - 1)
+        assert format_general_pk(parse_general_pk(tabbed)) == text
+
+    def test_noncanonical_transversal_rejected(self, sym3_keys):
+        # the section repeats the FACTOR lines and must spell each word as
+        # the format writes it: not as value + n, with a leading zero, as
+        # two letters of the same product or with an identity letter
+        pk, _ = sym3_keys
+        text = format_general_pk(pk)
+        line = text.splitlines()[-1]
+        el, token = line.split()
+        factor, value = map(int, token.split(":"))
+        n = pk.family.modulus(factor)
+        split = f"{factor}:4 {factor}:{value * mod_inverse(4, n) % n}"
+        for spelling in (f"{factor}:{value + n}", f"{factor}:0{value}",
+                         f"0{factor}:{value}", split, f"{token} {factor}:1"):
+            with pytest.raises(FormatError):
+                parse_general_pk(text.replace(line, f"{el} {spelling}"))
+
     def test_tampered_transversal_rejected(self, sym3_keys):
         pk, _ = sym3_keys
         text = format_general_pk(pk)
         lines = text.strip().splitlines()
         # swap the last two transversal entries' element tags
         a, b = lines[-2].split(" ", 1), lines[-1].split(" ", 1)
-        lines[-2] = f"{a[0]} {b[1]}"
-        lines[-1] = f"{b[0]} {a[1]}"
-        with pytest.raises(FormatError):
-            parse_general_pk("\n".join(lines) + "\n")
+        swapped = lines[:-2] + [f"{a[0]} {b[1]}", f"{b[0]} {a[1]}"]
+        # list the second-to-last element twice and the last not at all
+        repeated = lines[:-1] + [lines[-2]]
+        for bad in (swapped, repeated):
+            with pytest.raises(FormatError):
+                parse_general_pk("\n".join(bad) + "\n")
 
     def test_entry_outside_ciphertext_group_rejected(self, sym3_keys):
         # R[0] is in no TRANSVERSAL word, but p_psi uses it whenever
