@@ -29,8 +29,9 @@ The inverses R[i]^-1 are computed once per public key
 (``inverse_transversal``, by batch inversion): the secret-key parsers
 (``parse_cyclic_sk`` here, ``general.parse_general_sk`` for each factor)
 fill them when the key loads, so the key owner's decryptions find them
-ready; other keys fill them on first use.  The m-th roots of unity are
-computed once per secret key (``roots_of_unity``).
+ready; other keys fill them on first use.  The m-th roots of unity that
+randomize ``inverse_P_cyclic`` are computed with the secret key
+(``CyclicSecretKey.from_primes``), so every root extraction finds them.
 """
 
 from __future__ import annotations
@@ -138,9 +139,9 @@ class CyclicSecretKey:
     m_prime: int
     exp_p: int
     exp_q: int
-    # filled on first use, as CyclicPublicKey._inverse_transversal
-    _roots_of_unity: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # the sorted m-th roots of unity mod p and mod q, for inverse_P_cyclic
+    roots_of_unity: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        repr=False, compare=False)
 
     @classmethod
     def from_primes(cls, p: int, q: int, m: int) -> "CyclicSecretKey":
@@ -157,16 +158,9 @@ class CyclicSecretKey:
         if m_prime != gcd(m, 2):
             raise ValueError(f"q = {q} violates gcd(m, q-1) = gcd(m, 2)")
         return cls(p=p, q=q, m=m, m_prime=m_prime,
-                   exp_p=(p - 1) // m, exp_q=(q - 1) // m_prime)
-
-    @property
-    def roots_of_unity(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The sorted m-th roots of unity mod p and mod q."""
-        if self._roots_of_unity is None:
-            object.__setattr__(self, "_roots_of_unity", (
-                tuple(mth_roots_of_unity(self.m, self.p)),
-                tuple(mth_roots_of_unity(self.m, self.q))))
-        return self._roots_of_unity
+                   exp_p=(p - 1) // m, exp_q=(q - 1) // m_prime,
+                   roots_of_unity=(tuple(mth_roots_of_unity(m, p)),
+                                   tuple(mth_roots_of_unity(m, q))))
 
 
 @dataclass(frozen=True)

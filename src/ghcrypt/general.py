@@ -1,10 +1,10 @@
 """Homomorphic cryptosystem over an arbitrary finite nonidentity group H.
 
-The key picks generators of H and one residue cryptosystem per generator,
-with plaintext order equal to the generator's order: a single generator of
-order |H| when H is cyclic, otherwise every nonidentity element.  Each
-element of H is a power of one generator, and its public representative is
-the matching transversal letter of that factor.  Ciphertexts are
+The key picks generators of H by one greedy rule (``_generators``) and one
+residue cryptosystem per generator, with plaintext order equal to the
+generator's order; a cyclic H gets a single generator of order |H|.  The
+public representative of an element of H is its shortest word over the
+generators, one transversal letter per syllable.  Ciphertexts are
 normal-form words over the factor family; decryption sends each letter to
 its coset (``phi_map``) and folds the image in H (``psi_map``).
 """
@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import Error, FormatError, header, ints, records
-from .groupcore import FiniteGroup, GroupElement, format_group, read_group
+from .groupcore import (FiniteGroup, GroupElement, _subgroup_closure,
+                        format_group, read_group)
 from .numtheory import ExhaustedRetries
 from .cyclic import (
     CyclicPublicKey,
@@ -31,7 +32,6 @@ from .freeprod import (
     PsiLetter,
     PsiWitness,
     combined_P,
-    empty_word,
     g_inverse,
     g_multiply,
     inverse_p_phi,
@@ -73,47 +73,55 @@ class MalformedWord(Error):
 
 @dataclass(frozen=True)
 class GeneralPublicKey:
-    """Public key: the plaintext group, its generator list, and one residue
+    """Public key: the plaintext group, its generators, and one residue
     cryptosystem per generator.
 
-    ``generators`` holds element indices of H; factor i encrypts the powers
-    of ``generators[i-1]``.  For non-cyclic H it is all of 1..|H|-1; for
-    cyclic H it is a single generator whose exponents carry the whole group.
+    ``generators`` holds element indices of H, as ``_generators`` picks
+    them; factor i encrypts the powers of ``generators[i-1]``.
     """
 
     group: FiniteGroup
     generators: tuple[int, ...]
     family: FactorFamily = field(compare=False)
     # filled on first use, as CyclicPublicKey._inverse_transversal
-    _coordinates: dict[int, tuple[int, int]] | None = field(
+    _coordinates: dict[int, tuple[tuple[int, int], ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
-    def coordinates(self) -> dict[int, tuple[int, int]]:
-        """Element index -> (factor, exponent) with the element equal to
-        ``generators[factor-1] ** exponent``, the exponent least possible."""
+    def coordinates(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Element index -> its shortest word: the (factor, exponent)
+        syllables whose ``generators[factor-1] ** exponent`` multiply to it.
+
+        Breadth first: layer by layer, factors in order, exponents
+        ascending, the first word to reach an element kept.  No two adjacent
+        syllables share a factor (they would merge into a shorter word).
+        """
         if self._coordinates is None:
             H = self.group
-            table = {H.identity: (1, 0)}
-            for factor, g in enumerate(self.generators, start=1):
-                el, e = g, 1
-                while el != H.identity:
-                    if el not in table or table[el][1] > e:
-                        table[el] = (factor, e)
-                    el, e = H.mul(el, g), e + 1
+            table = {H.identity: ()}
+            layer = [H.identity]
+            while layer:
+                reached = []
+                for el in layer:
+                    for factor, g in enumerate(self.generators, start=1):
+                        x, e = H.mul(el, g), 1
+                        while x != el:
+                            if x not in table:
+                                table[x] = table[el] + ((factor, e),)
+                                reached.append(x)
+                            x, e = H.mul(x, g), e + 1
+                layer = reached
             object.__setattr__(self, "_coordinates", table)
         return self._coordinates
 
     def transversal_word(self, element_index: int) -> GWord:
         """The public coset representative word for an element of H."""
         try:
-            factor, e = self.coordinates[element_index]
+            word = self.coordinates[element_index]
         except KeyError:
             raise ValueError(f"element {element_index} unknown to the key") from None
-        if not e:
-            return empty_word(self.family)
-        return normalize(self.family,
-                         [(factor, self.family.public(factor).transversal[e])])
+        return normalize(self.family, [
+            (i, self.family.public(i).transversal[e]) for i, e in word])
 
 
 @dataclass(frozen=True)
@@ -134,24 +142,29 @@ def _require_key_family(pk: GeneralPublicKey, word: GWord) -> None:
         raise MalformedWord("word does not match the key")
 
 
-def _cyclic_generator(H: FiniteGroup) -> int | None:
-    for i in range(1, H.order):
-        if H.order_of(i) == H.order:
-            return i
-    return None
+def _generators(H: FiniteGroup) -> tuple[int, ...]:
+    """The key's generators of H: again and again the element of largest
+    order, lowest index first, outside the subgroup generated so far (for
+    cyclic H the first element of order |H| alone)."""
+    gens: list[int] = []
+    members = frozenset({H.identity})
+    for x in sorted(range(1, H.order), key=H.order_of, reverse=True):
+        if x not in members:
+            gens.append(x)
+            members = _subgroup_closure(H, gens)
+    return tuple(gens)
 
 
 def keygen_general(H: FiniteGroup, bits: int, rng: random.Random
                    ) -> tuple[GeneralPublicKey, GeneralSecretKey]:
     """Generate a key pair for plaintext group H with |p_i| = |q_i| = bits.
 
-    Cyclic H gets a single factor of order |H|; otherwise one factor per
-    nonidentity element, with pairwise distinct moduli.
+    One factor per generator ``_generators`` picks (a single factor of
+    order |H| for cyclic H), with pairwise distinct moduli.
     """
     if H.order < 2:
         raise IdentityGroup("the plaintext group must have at least 2 elements")
-    generator = _cyclic_generator(H)
-    generators = tuple(range(1, H.order)) if generator is None else (generator,)
+    generators = _generators(H)
     publics: list[CyclicPublicKey] = []
     secrets: list[CyclicSecretKey] = []
     used: set[int] = set()
@@ -188,8 +201,8 @@ def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
 
     ``a`` grows by ``phi_steps`` conjugated insertions (default 2|H|).
     ``b`` is a random transversal word of ``psi_length`` letters (default
-    |H|) closed off with one letter cancelling its running image, so the
-    evaluated pair always maps to the identity of H.
+    |H|) closed off with the shortest word of the inverse of its running
+    image, so the evaluated pair always maps to the identity of H.
     """
     H = pk.group
     steps, length = _randomization(pk, phi_steps, psi_length)
@@ -201,9 +214,7 @@ def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
         e = rng.randrange(pk.family.order(i))
         letters.append(PsiLetter(i, e))
         acc = H.mul(acc, H.power(pk.generators[i - 1], e))
-    closing = H.inverse(acc)
-    if closing != H.identity:
-        letters.append(PsiLetter(*pk.coordinates[closing]))
+    letters.extend(PsiLetter(i, e) for i, e in pk.coordinates[H.inverse(acc)])
     return a, PsiWitness(tuple(letters))
 
 
@@ -224,10 +235,11 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
         # the same kind of word with a Jacobi check of a^m and extra
         # normalize passes, several times the cost of this product.
         fpk = pk.family.public(1)
-        _, e = pk.coordinates[h.index]
         bare = _randomization(pk, phi_steps, psi_length) == (0, 0)
         a = 1 if bare else random_unit(fpk.n, rng)
-        value = pow(a, fpk.m, fpk.n) * (fpk.transversal[e] if e else 1) % fpk.n
+        value = pow(a, fpk.m, fpk.n)
+        for _, e in pk.coordinates[h.index]:  # no syllable for the identity
+            value = value * fpk.transversal[e] % fpk.n
         return GeneralCiphertext(normalize(pk.family, [(1, value)]))
     wa, wb = sample_A(pk, rng, phi_steps=phi_steps, psi_length=psi_length)
     kernel_word = combined_P(pk.family, wa, wb)
@@ -263,9 +275,9 @@ def inverse_P_general(sk: GeneralSecretKey, pk: GeneralPublicKey, g: GWord,
         k = phi_map(g, sk.factors, pk.generators)
         if psi_map(k, pk.group).index != pk.group.identity:
             return None
-        # lift the image word to transversal letters, one per run
-        r = PsiWitness(tuple(PsiLetter(pk.coordinates[symbol][0], exponent)
-                             for symbol, exponent, _ in k.runs))
+        # lift: one transversal letter per run, in its generator's factor
+        r = PsiWitness(tuple(PsiLetter(pk.generators.index(x) + 1, exponent)
+                             for x, exponent, _ in k.runs))
     kernel_part = g_multiply(g, g_inverse(p_psi(pk.family, r)))
     witness, tail = inverse_p_phi(kernel_part, trapdoor_oracle(pk.family, sk.factors, rng))
     if tail.is_identity:
@@ -311,16 +323,10 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
         raise FormatError("key lists no factors")
     if len({f.n for f in factors}) != len(factors):
         raise FormatError("factor moduli must be distinct")
-    if len(factors) == 1:
-        generator = _cyclic_generator(group)
-        if generator is None:
-            raise FormatError("single-factor key over a non-cyclic group")
-        generators: tuple[int, ...] = (generator,)
-    elif len(factors) == group.order - 1:
-        generators = tuple(range(1, group.order))
-    else:
+    generators = _generators(group)
+    if len(factors) != len(generators):
         raise FormatError(
-            f"expected 1 or {group.order - 1} factors, found {len(factors)}")
+            f"expected {len(generators)} factors, found {len(factors)}")
     pk = GeneralPublicKey(group, generators, FactorFamily(tuple(factors)))
     for i, gen in enumerate(generators, start=1):
         if pk.family.order(i) != group.order_of(gen):

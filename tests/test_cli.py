@@ -266,6 +266,15 @@ class TestExitCodes:
                          "--seed", "1")
         assert rc == 1
 
+    def test_all_element_key_rejected(self, capsys):
+        # a Sym(3) key of the former shape, one factor per nonidentity element
+        rc, out, err = run(capsys, "encrypt", "--pk",
+                           str(DATA / "sym3_all_elements_pk.txt"),
+                           "--plain", "(1 2)", "--seed", "1")
+        assert rc == 1 and err.startswith("error:"), err
+        assert "expected 2 factors, found 5" in err
+        assert "Traceback" not in err and out == ""
+
     def test_out_of_range_factor_in_word(self, sym3_dir, tmp_path, capsys):
         c = tmp_path / "c.txt"
         c.write_text("9:5\n")

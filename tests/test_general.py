@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from ghcrypt.general import (
     GeneralPublicKey,
     IdentityGroup,
     MalformedWord,
+    _generators,
     decrypt_general,
     encrypt_general,
     format_general_pk,
@@ -23,8 +25,10 @@ from ghcrypt.general import (
     parse_general_sk,
     sample_A,
 )
-from ghcrypt.groupcore import FiniteGroup, cyclic_group
+from ghcrypt.groupcore import FiniteGroup, _subgroup_closure, cyclic_group, sym
 from ghcrypt.numtheory import jacobi, mod_inverse
+
+DATA = Path(__file__).parent / "data"
 
 
 def tampered_pk_text(pk, changes):
@@ -54,14 +58,16 @@ class TestKeygen:
 
     def test_sym3_factor_orders(self, sym3_keys):
         pk, sk = sym3_keys
-        assert pk.family.count == 5
-        orders = sorted(pk.family.order(i) for i in range(1, 6))
-        assert orders == [2, 2, 2, 3, 3]
+        assert pk.family.count == 2
+        assert [pk.family.order(i) for i in (1, 2)] == [3, 2]
+        assert [pk.group.labels[g] for g in pk.generators] == ["(1 2 3)", "(2 3)"]
 
     def test_distinct_moduli(self, sym3_keys):
-        pk, _ = sym3_keys
-        moduli = [pk.family.modulus(i) for i in range(1, 6)]
-        assert len(set(moduli)) == 5
+        # Sym(6) has three factors, all of order 6, drawn from 8-bit primes
+        sym6_pk, _ = keygen_general(sym(6), 8, random.Random(3))
+        for pk in (sym3_keys[0], sym6_pk):
+            moduli = [pk.family.modulus(i) for i in range(1, pk.family.count + 1)]
+            assert len(set(moduli)) == pk.family.count
 
     def test_cyclic_table_group_delegates(self):
         # a cyclic group presented as a table still gets the one-factor key
@@ -82,7 +88,7 @@ class TestKeygen:
         pk, sk = sym3_keys
         for el in range(pk.group.order):
             word = pk.transversal_word(el)
-            assert len(word) <= 1
+            assert len(word) == len(pk.coordinates[el])
             got = decrypt_general(sk, pk, GeneralCiphertext(word))
             assert got.index == el
 
@@ -263,7 +269,7 @@ class TestInverseP:
         from ghcrypt.cyclic import is_mth_power, random_unit
         from ghcrypt.freeprod import normalize
         for _ in range(500):
-            i = rng.randrange(1, 6)
+            i = rng.randrange(1, fam.count + 1)
             fpk, fsk = fam.public(i), sk.factors[i - 1]
             v = random_unit(fpk.n, rng)
             if fpk.m % 2 == 0:
@@ -326,7 +332,7 @@ class TestKeyFiles:
         head, sep, section = text.partition("TRANSVERSAL\n")
         tabbed = head.replace("FACTOR ", "FACTOR\t") + sep + "".join(
             line.replace(" ", "\t", 1) + "\n" for line in section.splitlines())
-        assert tabbed.count("\t") == 2 * (pk.group.order - 1)
+        assert tabbed.count("\t") == pk.family.count + pk.group.order - 1
         assert format_general_pk(parse_general_pk(tabbed)) == text
 
     def test_noncanonical_transversal_rejected(self, sym3_keys):
@@ -335,7 +341,8 @@ class TestKeyFiles:
         # two letters of the same product or with an identity letter
         pk, _ = sym3_keys
         text = format_general_pk(pk)
-        line = text.splitlines()[-1]
+        line = next(line for line in text.partition("TRANSVERSAL\n")[2].splitlines()
+                    if len(line.split()) == 2)
         el, token = line.split()
         factor, value = map(int, token.split(":"))
         n = pk.family.modulus(factor)
@@ -369,13 +376,13 @@ class TestKeyFiles:
             parse_general_pk(tampered_pk_text(pk, {i: {"transversal": bad_r0}}))
 
     def test_non_unit_entry_outside_words_rejected(self, sym3_keys):
-        # R[2] of an order-3 factor: its element is named by the other
-        # 3-cycle's factor, so no TRANSVERSAL word checks this entry
+        # R[0] of an order-3 factor: no word has an exponent-0 syllable, so
+        # no TRANSVERSAL word checks this entry
         pk, sk = sym3_keys
         i = next(i for i, f in enumerate(pk.family.factors, 1) if f.m == 3)
-        assert all(c != (i, 2) for c in pk.coordinates.values())
+        assert all(e for word in pk.coordinates.values() for _, e in word)
         fpk, p = pk.family.public(i), sk.factors[i - 1].p
-        bad = fpk.transversal[:2] + (p,)
+        bad = (p,) + fpk.transversal[1:]
         with pytest.raises(FormatError):
             parse_general_pk(tampered_pk_text(pk, {i: {"transversal": bad}}))
 
@@ -391,9 +398,59 @@ class TestKeyFiles:
             parse_general_pk(text)
 
     def test_repeated_factor_modulus_rejected(self, sym3_keys):
+        # factor 1's whole FACTOR line copied into factor 2
         pk, _ = sym3_keys
-        i, j = [i for i, f in enumerate(pk.family.factors, 1) if f.m == 2][:2]
-        fpk = pk.family.public(i)
-        text = tampered_pk_text(pk, {j: {"n": fpk.n, "transversal": fpk.transversal}})
-        with pytest.raises(FormatError):
+        fpk = pk.family.public(1)
+        text = tampered_pk_text(pk, {2: {"m": fpk.m, "n": fpk.n,
+                                         "transversal": fpk.transversal}})
+        with pytest.raises(FormatError, match="distinct"):
             parse_general_pk(text)
+
+    def test_all_element_key_rejected(self):
+        # a Sym(3) key of the former shape, one factor per nonidentity
+        # element: the parser recomputes the generators, so such keys must
+        # be regenerated
+        text = (DATA / "sym3_all_elements_pk.txt").read_text()
+        assert text.count("FACTOR") == 5
+        with pytest.raises(FormatError, match="expected 2 factors, found 5"):
+            parse_general_pk(text)
+
+
+Z2XZ2 = FiniteGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+                    name="z2xz2")
+
+
+class TestGenerators:
+    def test_symmetric_groups(self):
+        assert [sym(3).labels[g] for g in _generators(sym(3))] == ["(1 2 3)", "(2 3)"]
+        assert [sym(5).order_of(g) for g in _generators(sym(5))] == [6, 6]
+        assert len(_generators(sym(6))) == 3
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_cyclic_groups_keep_their_first_generator(self, m):
+        H = cyclic_group(m)
+        first = next(i for i in range(1, m) if H.order_of(i) == m)
+        assert _generators(H) == (first,)
+
+    def test_noncyclic_abelian(self):
+        pk, _ = keygen_general(Z2XZ2, 8, random.Random(4))
+        assert [pk.family.order(i) for i in range(1, pk.family.count + 1)] == [2, 2]
+
+    # every word of a cyclic group has one letter
+    @pytest.mark.parametrize("H,longest", [
+        (sym(3), 2), (sym(5), 5), (sym(6), 6), (Z2XZ2, 2),
+        *((cyclic_group(m), 1) for m in range(2, 13))],
+        ids=lambda v: getattr(v, "name", v))
+    def test_shortest_words(self, H, longest):
+        pk, _ = keygen_general(H, 8, random.Random(H.order))
+        assert pk.generators == _generators(H)
+        assert _subgroup_closure(H, list(pk.generators)) == frozenset(range(H.order))
+        assert set(pk.coordinates) == set(range(H.order))
+        for el, word in pk.coordinates.items():
+            assert all(a[0] != b[0] for a, b in zip(word, word[1:])), word
+            acc = H.identity
+            for factor, e in word:
+                assert 0 < e < pk.family.order(factor)
+                acc = H.mul(acc, H.power(pk.generators[factor - 1], e))
+            assert acc == el
+        assert max(map(len, pk.coordinates.values())) <= longest

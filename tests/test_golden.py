@@ -7,7 +7,7 @@ and ``inverse_P_general`` witnesses drawn from one rng, before and after
 answers of None.  It also pins both protocols: full encrypted-input
 transcripts over Sym(3) for a group circuit with CONST, MUL and INV steps,
 and the sha256 of encrypted-circuit transcripts for ``data/and2.bc`` over
-Sym(5) at 8 bits (the key text alone is about 52 KB).
+Sym(5) at 8 bits (the key text alone is about 49 KB).
 ``data/golden_same_seed.json`` holds what the code gave
 when the file was made; refactors must reproduce it exactly.  A change
 that alters outputs on purpose regenerates the file with
