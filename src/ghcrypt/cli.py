@@ -196,12 +196,7 @@ def _cmd_simulate(args) -> int:
     program = barrington.parse_program(_read(args.program))
     bits = _parse_bits(args.input, program.input_count)
     result = barrington.eval_program(program, bits)
-    if result.index == program.target:
-        print(1)
-    elif result.index == program.group.identity:
-        print(0)
-    else:
-        raise Error(f"program output {result.label!r} is neither identity nor target")
+    print(encsim._output_bit(result, program.group.element(program.target)))
     return 0
 
 

@@ -67,7 +67,7 @@ class GroupMismatch(Error):
 
 
 class UnexpectedValue(Error):
-    """Decryption produced neither the identity nor the expected target."""
+    """A program's output is neither the identity nor the expected target."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def _output_bit(h: GroupElement, target: GroupElement) -> int:
     if h.index == h.group.identity:
         return 0
     raise UnexpectedValue(
-        f"decryption gave {h.label!r}, expected identity or {target.label!r}")
+        f"output {h.label!r} is neither the identity nor the target {target.label!r}")
 
 
 def decrypt_output(sk: GeneralSecretKey, pk: GeneralPublicKey,

@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import Error, FormatError, header, ints, records
-from .groupcore import (FiniteGroup, GroupElement, _subgroup_closure,
-                        format_group, read_group)
+from .groupcore import FiniteGroup, GroupElement, _span, format_group, read_group
 from .numtheory import ExhaustedRetries
 from .cyclic import (
     CyclicPublicKey,
@@ -83,36 +82,31 @@ class GeneralPublicKey:
     group: FiniteGroup
     generators: tuple[int, ...]
     family: FactorFamily = field(compare=False)
-    # filled on first use, as CyclicPublicKey._inverse_transversal
-    _coordinates: dict[int, tuple[tuple[int, int], ...]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # element index -> its shortest word: the (factor, exponent) syllables
+    # whose generators[factor-1] ** exponent multiply to it
+    coordinates: dict[int, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False)
 
-    @property
-    def coordinates(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Element index -> its shortest word: the (factor, exponent)
-        syllables whose ``generators[factor-1] ** exponent`` multiply to it.
-
-        Breadth first: layer by layer, factors in order, exponents
-        ascending, the first word to reach an element kept.  No two adjacent
-        syllables share a factor (they would merge into a shorter word).
-        """
-        if self._coordinates is None:
-            H = self.group
-            table = {H.identity: ()}
-            layer = [H.identity]
-            while layer:
-                reached = []
-                for el in layer:
-                    for factor, g in enumerate(self.generators, start=1):
-                        x, e = H.mul(el, g), 1
-                        while x != el:
-                            if x not in table:
-                                table[x] = table[el] + ((factor, e),)
-                                reached.append(x)
-                            x, e = H.mul(x, g), e + 1
-                layer = reached
-            object.__setattr__(self, "_coordinates", table)
-        return self._coordinates
+    def __post_init__(self):
+        # Breadth first: layer by layer, factors in order, exponents
+        # ascending, the first word to reach an element kept.  No two
+        # adjacent syllables share a factor (they would merge into a
+        # shorter word).
+        H = self.group
+        table = {H.identity: ()}
+        layer = [H.identity]
+        while layer:
+            reached = []
+            for el in layer:
+                for factor, g in enumerate(self.generators, start=1):
+                    x, e = H.mul(el, g), 1
+                    while x != el:
+                        if x not in table:
+                            table[x] = table[el] + ((factor, e),)
+                            reached.append(x)
+                        x, e = H.mul(x, g), e + 1
+            layer = reached
+        object.__setattr__(self, "coordinates", table)
 
     def transversal_word(self, element_index: int) -> GWord:
         """The public coset representative word for an element of H."""
@@ -143,16 +137,10 @@ def _require_key_family(pk: GeneralPublicKey, word: GWord) -> None:
 
 
 def _generators(H: FiniteGroup) -> tuple[int, ...]:
-    """The key's generators of H: again and again the element of largest
-    order, lowest index first, outside the subgroup generated so far (for
-    cyclic H the first element of order |H| alone)."""
-    gens: list[int] = []
-    members = frozenset({H.identity})
-    for x in sorted(range(1, H.order), key=H.order_of, reverse=True):
-        if x not in members:
-            gens.append(x)
-            members = _subgroup_closure(H, gens)
-    return tuple(gens)
+    """The key's generators of H, picked by ``_span``: again and again the
+    element of largest order, lowest index first, outside the subgroup
+    generated so far (for cyclic H the first element of order |H| alone)."""
+    return tuple(_span(H.table, sorted(range(H.order - 1, 0, -1), key=H.order_of))[0])
 
 
 def keygen_general(H: FiniteGroup, bits: int, rng: random.Random

@@ -12,7 +12,6 @@ import functools
 import itertools
 import operator
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import Error, FormatError, header, ints, records
@@ -168,26 +167,12 @@ def _validate_table(rows) -> None:
 
 def _check_associativity(rows) -> None:
     # Light's test: the elements g with (x*g)*y = x*(g*y) for all x, y are
-    # closed under products, so checking a generating set suffices.  The
-    # generators are picked greedily; every element reached from 0 by right
-    # multiplications with chosen generators is a product of them.  Per
-    # generator g and element x, the row of x*g is compared with the row
-    # of x read through the row of g, one tuple comparison each.
+    # closed under products, so checking a generating set suffices; _span
+    # picks one greedily from the raw table.  Per generator g and element
+    # x, the row of x*g is compared with the row of x read through the row
+    # of g, one tuple comparison each.
     n = len(rows)
-    generators: list[int] = []
-    closure = {0}
-    for x in range(n):
-        if x in closure:
-            continue
-        generators.append(x)
-        frontier = list(closure)
-        while frontier:
-            y = frontier.pop()
-            for g in generators:
-                w = rows[y][g]
-                if w not in closure:
-                    closure.add(w)
-                    frontier.append(w)
+    generators, _ = _span(rows, range(n - 1, 0, -1))
     for g in generators:
         through_g = operator.itemgetter(*rows[g])
         for x in range(n):
@@ -241,42 +226,36 @@ def builtin_group(spec: str) -> FiniteGroup | None:
     return None
 
 
-def _subgroup_closure(G: FiniteGroup, gens: list[int]) -> frozenset[int]:
-    """The subgroup generated by ``gens``: right-multiply by the generators
-    until nothing new appears (in a finite group that is closed under
-    inverses too)."""
-    members = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.mul(x, g)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return frozenset(members)
+def _span(rows, candidates, conjugators=()) -> tuple[list[int], set[int]]:
+    """Greedy generators and the members of the subgroup they span, from
+    the Cayley table ``rows``.
 
-
-def _normal_closure(G: FiniteGroup, seed: Iterable[int],
-                    conjugators: list[int]) -> tuple[list[int], frozenset[int]]:
-    """Generators and elements of the smallest subgroup that contains
-    ``seed`` and is mapped into itself by conjugation with each of
-    ``conjugators``.
-
-    An element becomes a generator only when it lies outside the subgroup
-    so far, which at least doubles it, so there are at most log2|G| of them.
+    Candidates are taken from the end of the list.  One outside the
+    subgroup so far becomes a generator, which at least doubles the
+    subgroup, so there are at most log2|G| of them; the members then grow
+    by right multiplication (in a finite group that closes under inverses
+    too).  For each pair (g⁻¹, g) in ``conjugators`` the new generator's
+    conjugate g⁻¹xg joins the candidates, so the span ends closed under
+    conjugation by each g.
     """
-    gens: list[int] = []
-    members = frozenset({0})
-    pending = list(seed)
+    pending = list(candidates)
+    generators: list[int] = []
+    members = {0}
     while pending:
         x = pending.pop()
         if x in members:
             continue
-        gens.append(x)
-        members = _subgroup_closure(G, gens)
-        pending.extend(G.mul(G.mul(G.inverse(g), x), g) for g in conjugators)
-    return gens, members
+        generators.append(x)
+        frontier = list(members)
+        while frontier:
+            y = frontier.pop()
+            for g in generators:
+                w = rows[y][g]
+                if w not in members:
+                    members.add(w)
+                    frontier.append(w)
+        pending.extend(rows[rows[g_inv][x]][g] for g_inv, g in conjugators)
+    return generators, members
 
 
 def _derived_subgroup(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
@@ -284,12 +263,13 @@ def _derived_subgroup(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]
 
     [K, K] is the normal closure in K = <X> of the commutators [a, b] with
     a, b in X, so it is built from a generating set X of at most log2|K|
-    elements instead of all |K|^2 commutators.
+    elements instead of all |K|^2 commutators: one ``_span`` picks X, a
+    second spans the commutators closed under conjugation by X.
     """
-    gens, _ = _normal_closure(G, members, [])
+    gens, _ = _span(G.table, members)
     comms = [G.mul(G.mul(G.inverse(a), G.inverse(b)), G.mul(a, b))
              for a in gens for b in gens]
-    return _normal_closure(G, comms, gens)[1]
+    return frozenset(_span(G.table, comms, [(G.inverse(g), g) for g in gens])[1])
 
 
 def is_solvable(G: FiniteGroup) -> bool:

@@ -283,5 +283,8 @@ def mth_roots_of_unity(m: int, p: int) -> list[int]:
     for z in range(2, min(p, 1 << 20)):
         w = pow(z, (p - 1) // d, p)
         if all(pow(w, d // r, p) != 1 for r in primes):
-            return sorted(pow(w, i, p) for i in range(d))
+            roots = [1]
+            for _ in range(d - 1):
+                roots.append(roots[-1] * w % p)
+            return sorted(roots)
     raise Error(f"could not find an element of order {d} modulo {p}")

@@ -158,6 +158,17 @@ class TestCompileSimulate:
                              "--input", bits)
             assert rc == 0 and out.strip() == want
 
+    def test_output_neither_identity_nor_target(self, tmp_path, capsys):
+        # on input 1 the product is element 2 of sym3; the target is 1
+        prog = tmp_path / "stray.gprog"
+        prog.write_text("GPROG v1 sym3 1 1\n2 0\n")
+        rc, out, _ = run(capsys, "simulate", "--program", str(prog), "--input", "0")
+        assert rc == 0 and out.strip() == "0"
+        rc, out, err = run(capsys, "simulate", "--program", str(prog), "--input", "1")
+        assert rc == 1 and err.startswith("error:"), err
+        assert "neither the identity nor the target" in err
+        assert "Traceback" not in err and out == ""
+
     def test_compile_to_stdout(self, capsys):
         rc, out, _ = run(capsys, "compile", "--circuit", str(DATA / "identity.bc"),
                          "--group", "sym5")

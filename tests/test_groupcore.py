@@ -274,6 +274,22 @@ class TestElementOps:
             assert s3.power(g, order) == 0
 
 
+def brute_force_closure(G, seed, normal=False):
+    """Multiply on both sides until nothing new appears; with ``normal``
+    also conjugate by every element."""
+    members, frontier = {0}, list(seed)
+    while frontier:
+        x = frontier.pop()
+        if x in members:
+            continue
+        members.add(x)
+        frontier.extend(G.mul(x, y) for y in list(members))
+        frontier.extend(G.mul(y, x) for y in list(members))
+        if normal:
+            frontier.extend(G.mul(G.mul(G.inverse(g), x), g) for g in range(G.order))
+    return frozenset(members)
+
+
 class TestSolvability:
     def test_textbook_classification(self):
         assert is_solvable(cyclic_group(6))
@@ -297,26 +313,62 @@ class TestSolvability:
         # all |K|^2 commutators at every level
         from ghcrypt.groupcore import _derived_subgroup
 
-        def closure(seed):
-            members, frontier = {0}, list(seed)
-            while frontier:
-                x = frontier.pop()
-                if x in members:
-                    continue
-                members.add(x)
-                frontier.extend(G.mul(x, y) for y in list(members))
-                frontier.extend(G.mul(y, x) for y in list(members))
-            return frozenset(members)
-
         current = frozenset(range(G.order))
         while True:
-            want = closure({G.mul(G.mul(a, b), G.mul(G.inverse(a), G.inverse(b)))
-                            for a in current for b in current})
+            want = brute_force_closure(
+                G, {G.mul(G.mul(a, b), G.mul(G.inverse(a), G.inverse(b)))
+                    for a in current for b in current})
             assert _derived_subgroup(G, current) == want
             if want == current:
                 break
             current = want
         assert is_solvable(G) == (current == frozenset({0}))
+
+
+class TestSpan:
+    GROUPS = ([sym(k) for k in range(1, 6)]
+              + [cyclic_group(m) for m in (1, 2, 6, 12)]
+              + [FiniteGroup([[a ^ b for b in range(4)] for a in range(4)], name="z2z2"),
+                 alternating5()])
+
+    @staticmethod
+    def candidate_lists(G):
+        rng = random.Random(G.order)
+        lists = [list(range(G.order)), [], [0]]
+        for size in (1, 2, 3):
+            lists.append([rng.randrange(G.order) for _ in range(size)])
+        return lists
+
+    @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.name)
+    def test_members_are_the_closure(self, G):
+        from ghcrypt.groupcore import _span
+        for candidates in self.candidate_lists(G):
+            assert _span(G.table, candidates)[1] == brute_force_closure(G, candidates)
+
+    @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.name)
+    def test_all_conjugators_give_the_normal_closure(self, G):
+        from ghcrypt.groupcore import _span
+        everyone = [(G.inverse(g), g) for g in range(G.order)]
+        for candidates in self.candidate_lists(G):
+            _, members = _span(G.table, candidates, everyone)
+            assert members == brute_force_closure(G, candidates, normal=True)
+
+    @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.name)
+    def test_each_generator_is_new(self, G):
+        from ghcrypt.groupcore import _span
+        for candidates in self.candidate_lists(G):
+            gens, _ = _span(G.table, candidates)
+            for k, g in enumerate(gens):
+                assert g not in brute_force_closure(G, gens[:k])
+            assert 2 ** len(gens) <= G.order
+
+    def test_candidates_taken_from_the_end(self):
+        from ghcrypt.groupcore import _span
+        G = cyclic_group(12)
+        # 6 lies in <3> = {0, 3, 6, 9}, but 3 does not lie in <6> = {0, 6}
+        assert _span(G.table, [6, 3])[0] == [3]
+        assert _span(G.table, [3, 6])[0] == [6, 3]
+        assert _span(G.table, [1, 5])[0] == [5]
 
 
 class TestBuiltinsAndFiles:
