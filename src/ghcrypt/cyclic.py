@@ -425,8 +425,9 @@ def _parse_fields(text: str, magic: str, fields: list[str]) -> dict[str, str]:
 
 
 def check_cyclic_pk(pk: CyclicPublicKey) -> None:
-    """Raise FormatError unless n is odd and at least 3 and every
-    transversal entry is an element of G(n, m) (``in_group_G``)."""
+    """Raise FormatError unless n is odd and at least 3, every transversal
+    entry is an element of G(n, m) (``in_group_G``), and no entry R[e],
+    e >= 1, is 1 (an m-th power, so no representative of coset e)."""
     n = pk.n
     if n < 3 or n % 2 == 0:
         raise FormatError(f"modulus {n} must be odd and at least 3")
@@ -434,6 +435,8 @@ def check_cyclic_pk(pk: CyclicPublicKey) -> None:
         if not in_group_G(pk, r):
             raise FormatError(f"transversal entry {r} is not an element of "
                               f"G({n}, {pk.m}) within 1..{n - 1}")
+    if 1 in pk.transversal[1:]:
+        raise FormatError("transversal entry R[e] for e >= 1 is 1")
 
 
 def parse_cyclic_pk(text: str) -> CyclicPublicKey:

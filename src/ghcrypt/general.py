@@ -1,7 +1,7 @@
 """Homomorphic cryptosystem over an arbitrary finite nonidentity group H.
 
-The key picks generators of H by one greedy rule (``_generators``) and one
-residue cryptosystem per generator, with plaintext order equal to the
+The key takes the greedy generators of H (``FiniteGroup.generators``) and
+one residue cryptosystem per generator, with plaintext order equal to the
 generator's order; a cyclic H gets a single generator of order |H|.  The
 public representative of an element of H is its shortest word over the
 generators, one transversal letter per syllable.  Ciphertexts are
@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import Error, FormatError, header, ints, records
-from .groupcore import FiniteGroup, GroupElement, _span, format_group, read_group
+from .groupcore import FiniteGroup, GroupElement, format_group, read_group
 from .numtheory import ExhaustedRetries
 from .cyclic import (
     CyclicPublicKey,
@@ -75,8 +75,8 @@ class GeneralPublicKey:
     """Public key: the plaintext group, its generators, and one residue
     cryptosystem per generator.
 
-    ``generators`` holds element indices of H, as ``_generators`` picks
-    them; factor i encrypts the powers of ``generators[i-1]``.
+    ``generators`` is ``H.generators``, element indices of H; factor i
+    encrypts the powers of ``generators[i-1]``.
     """
 
     group: FiniteGroup
@@ -92,19 +92,19 @@ class GeneralPublicKey:
         # ascending, the first word to reach an element kept.  No two
         # adjacent syllables share a factor (they would merge into a
         # shorter word).
-        H = self.group
-        table = {H.identity: ()}
-        layer = [H.identity]
+        rows = self.group.table
+        table = {0: ()}
+        layer = [0]
         while layer:
             reached = []
             for el in layer:
                 for factor, g in enumerate(self.generators, start=1):
-                    x, e = H.mul(el, g), 1
+                    x, e = rows[el][g], 1
                     while x != el:
                         if x not in table:
                             table[x] = table[el] + ((factor, e),)
                             reached.append(x)
-                        x, e = H.mul(x, g), e + 1
+                        x, e = rows[x][g], e + 1
             layer = reached
         object.__setattr__(self, "coordinates", table)
 
@@ -136,23 +136,16 @@ def _require_key_family(pk: GeneralPublicKey, word: GWord) -> None:
         raise MalformedWord("word does not match the key")
 
 
-def _generators(H: FiniteGroup) -> tuple[int, ...]:
-    """The key's generators of H, picked by ``_span``: again and again the
-    element of largest order, lowest index first, outside the subgroup
-    generated so far (for cyclic H the first element of order |H| alone)."""
-    return tuple(_span(H.table, sorted(range(H.order - 1, 0, -1), key=H.order_of))[0])
-
-
 def keygen_general(H: FiniteGroup, bits: int, rng: random.Random
                    ) -> tuple[GeneralPublicKey, GeneralSecretKey]:
     """Generate a key pair for plaintext group H with |p_i| = |q_i| = bits.
 
-    One factor per generator ``_generators`` picks (a single factor of
-    order |H| for cyclic H), with pairwise distinct moduli.
+    One factor per generator in ``H.generators`` (a single factor of order
+    |H| for cyclic H), with pairwise distinct moduli.
     """
     if H.order < 2:
         raise IdentityGroup("the plaintext group must have at least 2 elements")
-    generators = _generators(H)
+    generators = H.generators
     publics: list[CyclicPublicKey] = []
     secrets: list[CyclicSecretKey] = []
     used: set[int] = set()
@@ -311,7 +304,7 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
         raise FormatError("key lists no factors")
     if len({f.n for f in factors}) != len(factors):
         raise FormatError("factor moduli must be distinct")
-    generators = _generators(group)
+    generators = group.generators
     if len(factors) != len(generators):
         raise FormatError(
             f"expected {len(generators)} factors, found {len(factors)}")
@@ -325,11 +318,15 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
     if len(entries) != group.order - 1:
         raise FormatError("TRANSVERSAL must list every nonidentity element")
     # the section repeats entries of the FACTOR lines, checked above, so
-    # each line must be spelled exactly as format_general_pk writes it
+    # each line must be spelled exactly as format_general_pk writes it: one
+    # letter per syllable of the element's word (no entry R[e], e >= 1, is
+    # 1, so transversal_word drops none)
+    letters = [[f"{i}:{r}" for r in f.transversal]
+               for i, f in enumerate(factors, start=1)]
     for el, entry in enumerate(entries, start=1):
-        expected = f"{el} {format_gword(pk.transversal_word(el))}"
-        if entry.split() != expected.split():
-            raise FormatError(f"TRANSVERSAL line {el} is not {expected!r}")
+        expected = [str(el), *(letters[i - 1][e] for i, e in pk.coordinates[el])]
+        if entry.split() != expected:
+            raise FormatError(f"TRANSVERSAL line {el} is not {' '.join(expected)!r}")
     return pk
 
 

@@ -66,8 +66,7 @@ class FiniteGroup:
         self.order = len(rows)
         self.table = rows
         self.name = name
-        _validate_table(rows)
-        self._inverse = tuple(row.index(0) for row in rows)
+        self._inverse, self.generators = _validate_table(rows)
         if labels is None:
             labels = tuple(str(i) for i in range(self.order))
         else:
@@ -96,11 +95,7 @@ class FiniteGroup:
         return acc
 
     def order_of(self, a: int) -> int:
-        k, acc = 1, a
-        while acc != 0:
-            acc = self.table[acc][a]
-            k += 1
-        return k
+        return _order_of(self.table, a)
 
     def element(self, index: int) -> "GroupElement":
         if not 0 <= index < self.order:
@@ -140,39 +135,55 @@ class GroupElement:
         return f"<{self.label} in {self.group.name}>"
 
 
-def _validate_table(rows) -> None:
+def _order_of(rows, a: int) -> int:
+    k, acc = 1, a
+    while acc != 0:
+        acc = rows[acc][a]
+        k += 1
+    return k
+
+
+def _validate_table(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Check that ``rows`` is the Cayley table of a group with identity 0;
+    returns each element's inverse and the generators Light's test checked."""
     n = len(rows)
     if n == 0:
         raise FormatError("empty table")
     full = set(range(n))
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise FormatError(f"row {i} has length {len(row)}, expected {n}")
-        if not set(row) <= full:
+    # a row that is not a permutation of range(n) is short, out of range or
+    # repeats an entry; a repeat is reported after the identity check
+    odd = [i for i, row in enumerate(rows) if len(row) != n or set(row) != full]
+    for i in odd:
+        if len(rows[i]) != n:
+            raise FormatError(f"row {i} has length {len(rows[i])}, expected {n}")
+        if not set(rows[i]) <= full:
             raise FormatError(f"row {i} contains out-of-range entries")
-    if any(rows[0][j] != j for j in range(n)) or any(rows[i][0] != i for i in range(n)):
+    identity = tuple(range(n))
+    if rows[0] != identity or tuple(row[0] for row in rows) != identity:
         raise NoIdentity("row/column 0 must be the identity")
-    for i, row in enumerate(rows):
-        if len(set(row)) != n:
-            raise NotLatinSquare(f"row {i} repeats an entry")
-    for j in range(n):
-        if len({rows[i][j] for i in range(n)}) != n:
+    if odd:
+        raise NotLatinSquare(f"row {odd[0]} repeats an entry")
+    for j, column in enumerate(zip(*rows)):
+        if len(set(column)) != n:
             raise NotLatinSquare(f"column {j} repeats an entry")
-    for a in range(n):
-        b = rows[a].index(0)
+    inverse = tuple(row.index(0) for row in rows)
+    for a, b in enumerate(inverse):
         if rows[b][a] != 0:
             raise NoInverse(f"element {a} has no two-sided inverse")
-    _check_associativity(rows)
+    return inverse, _check_associativity(rows)
 
 
-def _check_associativity(rows) -> None:
+def _check_associativity(rows) -> tuple[int, ...]:
     # Light's test: the elements g with (x*g)*y = x*(g*y) for all x, y are
-    # closed under products, so checking a generating set suffices; _span
-    # picks one greedily from the raw table.  Per generator g and element
-    # x, the row of x*g is compared with the row of x read through the row
-    # of g, one tuple comparison each.
+    # closed under products, so checking a generating set suffices.  Any
+    # set serves, so the test checks the one keys are built on (FiniteGroup.
+    # generators: again and again the element of largest order, lowest
+    # index first, outside the subgroup so far; two for Sym(5)), and one
+    # _span call picks it for both uses.  Per generator g and element x,
+    # the row of x*g is compared with the row of x read through g's row.
     n = len(rows)
-    generators, _ = _span(rows, range(n - 1, 0, -1))
+    by_order = sorted(range(n - 1, 0, -1), key=lambda a: _order_of(rows, a))
+    generators, _ = _span(rows, by_order)
     for g in generators:
         through_g = operator.itemgetter(*rows[g])
         for x in range(n):
@@ -180,6 +191,7 @@ def _check_associativity(rows) -> None:
                 y = next(y for y in range(n)
                          if rows[rows[x][g]][y] != rows[x][rows[g][y]])
                 raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+    return tuple(generators)
 
 
 @functools.cache
@@ -330,8 +342,16 @@ def read_group(lines: list[str], start: int = 0, name: str = "custom", *,
     end = start + 1 + order
     if len(lines) < end:
         raise FormatError("truncated group table")
-    table = [ints(lines[i].split(), f"table row {i - start - 1}")
-             for i in range(start + 1, end)]
+    # each entry through its canonical spelling, one C-level map per row
+    # (int() per token made a Sym(5) key parse a quarter slower); a row
+    # spelled otherwise ("03", "+3") is read by ints
+    spelled = {str(x): x for x in range(order)}.__getitem__
+    table = []
+    for i in range(start + 1, end):
+        try:
+            table.append(tuple(map(spelled, lines[i].split())))
+        except KeyError:
+            table.append(ints(lines[i].split(), f"table row {i - start - 1}"))
     labels = None
     if end < len(lines) and lines[end] == "LABELS":
         labels = lines[end + 1:end + 1 + order]

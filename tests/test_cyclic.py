@@ -466,6 +466,10 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             # 14 shares a factor with 35
             parse_cyclic_pk("GHC-CYCLIC-PK v1\nm: 3\nn: 35\nR: 1 17 14\n")
+        for r in ("1 1 9", "1 17 1"):
+            with pytest.raises(FormatError, match="is 1"):
+                # an entry R[e], e >= 1, of 1 leaves coset e undecryptable
+                parse_cyclic_pk(f"GHC-CYCLIC-PK v1\nm: 3\nn: 35\nR: {r}\n")
         pk = parse_cyclic_pk("GHC-CYCLIC-PK v1\nm: 3\nn: 35\nR: 1 17 9\n")
         with pytest.raises(FormatError):
             # gcd(3, 7-1) = 3 violates gcd(m, q-1) = gcd(m, 2)

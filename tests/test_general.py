@@ -1,11 +1,13 @@
 import dataclasses
+import operator
 import random
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from ghcrypt import cyclic
+from ghcrypt import cyclic, groupcore
 from ghcrypt.errors import Error, FormatError
 from ghcrypt.freeprod import FactorFamily, combined_P, phi_map, psi_map
 from ghcrypt.general import (
@@ -13,7 +15,6 @@ from ghcrypt.general import (
     GeneralPublicKey,
     IdentityGroup,
     MalformedWord,
-    _generators,
     decrypt_general,
     encrypt_general,
     format_general_pk,
@@ -375,6 +376,20 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             parse_general_pk(tampered_pk_text(pk, {i: {"transversal": bad_r0}}))
 
+    def test_transversal_entry_one_rejected(self, sym3_keys):
+        # R[1] = 1 is an m-th power, so the generator it should stand for
+        # would not decrypt; format_general_pk writes its word as "e", and
+        # the one-letter spelling "1:1" is no way around the check
+        pk, _ = sym3_keys
+        fpk = pk.family.public(1)
+        text = tampered_pk_text(pk, {1: {"transversal": (fpk.transversal[0], 1)
+                                            + fpk.transversal[2:]}})
+        el = pk.generators[0]
+        assert f"\n{el} e\n" in text
+        for spelling in ("e", "1:1"):
+            with pytest.raises(FormatError, match="R\\[e\\] for e >= 1 is 1"):
+                parse_general_pk(text.replace(f"\n{el} e\n", f"\n{el} {spelling}\n"))
+
     def test_non_unit_entry_outside_words_rejected(self, sym3_keys):
         # R[0] of an order-3 factor: no word has an exponent-0 syllable, so
         # no TRANSVERSAL word checks this entry
@@ -422,15 +437,38 @@ Z2XZ2 = FiniteGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
 
 class TestGenerators:
     def test_symmetric_groups(self):
-        assert [sym(3).labels[g] for g in _generators(sym(3))] == ["(1 2 3)", "(2 3)"]
-        assert [sym(5).order_of(g) for g in _generators(sym(5))] == [6, 6]
-        assert len(_generators(sym(6))) == 3
+        assert [sym(3).labels[g] for g in sym(3).generators] == ["(1 2 3)", "(2 3)"]
+        assert [sym(5).order_of(g) for g in sym(5).generators] == [6, 6]
+        assert len(sym(6).generators) == 3
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_cyclic_groups_keep_their_first_generator(self, m):
         H = cyclic_group(m)
         first = next(i for i in range(1, m) if H.order_of(i) == m)
-        assert _generators(H) == (first,)
+        assert H.generators == (first,)
+
+    def test_one_generating_set_per_parse(self, monkeypatch):
+        # a parse picks the generators once, for Light's test, and the key
+        # reads them from the group; counts, not timings, so exact
+        pk, _ = keygen_general(sym(5), 8, random.Random(5))
+        text = format_general_pk(pk)
+        spans, light = [], []
+
+        def counting_span(*args):
+            spans.append(_span(*args))
+            return spans[-1]
+
+        def counting_itemgetter(*items):
+            light.append(items)
+            return operator.itemgetter(*items)
+
+        monkeypatch.setattr(groupcore, "_span", counting_span)
+        monkeypatch.setattr(groupcore, "operator",
+                            SimpleNamespace(itemgetter=counting_itemgetter))
+        parsed = parse_general_pk(text)
+        assert len(spans) == 1
+        assert len(light) == 2
+        assert parsed.generators == tuple(spans[0][0]) == pk.generators
 
     def test_noncyclic_abelian(self):
         pk, _ = keygen_general(Z2XZ2, 8, random.Random(4))
@@ -443,7 +481,7 @@ class TestGenerators:
         ids=lambda v: getattr(v, "name", v))
     def test_shortest_words(self, H, longest):
         pk, _ = keygen_general(H, 8, random.Random(H.order))
-        assert pk.generators == _generators(H)
+        assert pk.generators == H.generators
         assert _span(H.table, pk.generators)[1] == frozenset(range(H.order))
         assert set(pk.coordinates) == set(range(H.order))
         for el, word in pk.coordinates.items():

@@ -1,9 +1,11 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
+from ghcrypt import groupcore
 from ghcrypt.errors import FormatError
 from ghcrypt.groupcore import (
     FiniteGroup,
@@ -87,7 +89,9 @@ class TestConstruction:
             FiniteGroup([[1, 0], [0, 1]])
 
     def test_no_inverse(self):
-        with pytest.raises(NoInverse):
+        # the loop is not associative either; the inverse check comes first
+        assert not brute_force_associative(ONESIDED_LOOP)
+        with pytest.raises(NoInverse, match="element 2 has no two-sided inverse"):
             FiniteGroup(ONESIDED_LOOP)
 
     def test_not_associative(self):
@@ -99,6 +103,24 @@ class TestConstruction:
             FiniteGroup([[0, 1]])
         with pytest.raises(FormatError):
             FiniteGroup([[0, 5], [5, 0]])
+
+    # a table with several defects gets the error of the first check it
+    # fails: shape and range, identity, rows, columns, inverses, then Light
+    @pytest.mark.parametrize("table,error,message", [
+        # row 1 repeats 1, row 2 is short
+        ([[0, 1, 2], [1, 1, 0], [2, 0]], FormatError, "row 2 has length 2"),
+        # row 1 repeats 1, row 2 holds 3
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 3]], FormatError, "row 2 contains out-of-range"),
+        # row 0 is not the identity, row 1 repeats 0
+        ([[1, 0, 2], [0, 0, 1], [2, 1, 0]], NoIdentity, "row/column 0"),
+        # column 1 repeats 2 and row 2 repeats 2: the row is reported
+        ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], NotLatinSquare, "row 2 repeats"),
+        # columns 1 and 2 repeat, every row is a permutation
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], NotLatinSquare, "column 1 repeats"),
+    ])
+    def test_first_failing_check_names_the_error(self, table, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            FiniteGroup(table)
 
 
 def _fill_latin(rows, i, j, rng):
@@ -395,6 +417,33 @@ class TestBuiltinsAndFiles:
         text = "# hi\nGROUP v1 2\n\n0 1  # identity row\n1 0\n"
         G = parse_group(text)
         assert G.order == 2
+
+    def test_table_spellings(self):
+        # any spelling int() reads is the same entry: leading zeros, plus
+        # signs and tab separators
+        spelling = {3: "03", 5: "+5"}
+        rows = ["\t".join(spelling.get(x, str(x)) for x in row) for row in sym(3).table]
+        G = parse_group("GROUP v1 6\n" + "\n".join(rows) + "\n")
+        assert G.table == sym(3).table
+        assert G.generators == sym(3).generators
+        with pytest.raises(FormatError, match="non-integer table row 1"):
+            parse_group("GROUP v1 2\n0 1\n1 x\n")
+
+    def test_truncated_header_builds_nothing_of_its_order(self, monkeypatch):
+        # nothing the size of the claimed order is made before the rows are
+        # known to be there; a guard on range keeps a failure small
+        def small_range(*args):
+            assert max(args) < 1000, args
+            return range(*args)
+        monkeypatch.setattr(groupcore, "range", small_range, raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated group table"):
+                parse_group("GROUP v1 1000000000\n0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_bad_files(self):
         with pytest.raises(FormatError):
