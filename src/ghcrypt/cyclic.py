@@ -10,21 +10,22 @@ half for even m); ``in_group_G`` decides membership.  Encryption of
 the plaintext i is a^m * R[i] for a fresh random unit a; multiplying
 ciphertexts adds plaintexts mod m.  The trapdoor is the factorization of n:
 p = 1 (mod m) and gcd(m, q-1) = gcd(m, 2), so membership in the group of
-m-th powers is decided by one exponentiation mod p, plus one mod q for even
-m (for odd m every unit mod q is an m-th power).
+m-th powers is decided by one exponentiation mod p, plus one Legendre
+symbol mod q for even m (for odd m every unit mod q is an m-th power).
 
 Decryption compares characters.  The map x -> x^((p-1)/m) mod p is a
 homomorphism whose kernel holds the m-th powers mod p, so c lies in the
 coset of R[i] on the p side exactly when c and R[i] have the same
 character; both are taken relative to R[0] so that the character of
 coset 0 is 1 (the test of Benaloh's dense probabilistic encryption, 1994).
-For even m a match is confirmed by one power mod q.  A lone ciphertext of
-plaintext i costs i + 1 powers mod p (its own character and those of
-R[1..i]), plus one mod q for even m.  The characters of the transversal
-depend only on the key pair, so a caller decrypting many letters under
-one key passes one list that keeps them (``decrypt_cyclic``'s
-``characters``); each letter then costs one power mod p, plus one mod q
-for even m, and the transversal characters are computed once per list.
+For even m a match is confirmed by one Jacobi symbol mod q.  A lone
+ciphertext of plaintext i costs i + 1 powers mod p (its own character and
+those of R[1..i]), plus one Jacobi symbol mod q for even m.  The
+characters of the transversal depend only on the key pair, so a caller
+decrypting many letters under one key passes one list that keeps them
+(``decrypt_cyclic``'s ``characters``); each letter then costs one power
+mod p, plus one Jacobi symbol mod q for even m, and the transversal
+characters are computed once per list.
 The inverses R[i]^-1 are computed once per public key
 (``inverse_transversal``, by batch inversion): the secret-key parsers
 (``parse_cyclic_sk`` here, ``general.parse_general_sk`` for each factor)
@@ -138,7 +139,6 @@ class CyclicSecretKey:
     m: int
     m_prime: int
     exp_p: int
-    exp_q: int
     # the sorted m-th roots of unity mod p and mod q, for inverse_P_cyclic
     roots_of_unity: tuple[tuple[int, ...], tuple[int, ...]] = field(
         repr=False, compare=False)
@@ -158,7 +158,7 @@ class CyclicSecretKey:
         if m_prime != gcd(m, 2):
             raise ValueError(f"q = {q} violates gcd(m, q-1) = gcd(m, 2)")
         return cls(p=p, q=q, m=m, m_prime=m_prime,
-                   exp_p=(p - 1) // m, exp_q=(q - 1) // m_prime,
+                   exp_p=(p - 1) // m,
                    roots_of_unity=(tuple(mth_roots_of_unity(m, p)),
                                    tuple(mth_roots_of_unity(m, q))))
 
@@ -203,11 +203,10 @@ def encrypt_cyclic(pk: CyclicPublicKey, plaintext: int, rng: random.Random) -> C
 def is_mth_power(sk: CyclicSecretKey, g: int) -> bool:
     """Trapdoor test: is g an m-th power of a unit mod n?
 
-    Uses the exponent test g^((p-1)/m) = 1 (mod p) and
-    g^((q-1)/m') = 1 (mod q) with m' = gcd(m, q-1).  For odd m, m' = 1 and
-    the q-side test holds for every unit (Fermat), so it is skipped: one
-    power mod p, plus one mod q for even m when the first test holds.  For
-    even m the q-side test is what rejects a unit with Jacobi symbol -1.
+    Uses the exponent test g^((p-1)/m) = 1 (mod p) and, for even m, the
+    Legendre symbol (g | q) = 1 by ``jacobi``, which rejects the units of
+    Jacobi symbol -1 (for odd m every unit mod q is an m-th power).  So one
+    power mod p, plus one Jacobi symbol mod q for even m if the first holds.
     """
     n = sk.p * sk.q
     g %= n
@@ -215,7 +214,7 @@ def is_mth_power(sk: CyclicSecretKey, g: int) -> bool:
         raise NotAUnit(f"{g} is not a unit modulo {n}")
     if pow(g % sk.p, sk.exp_p, sk.p) != 1:
         return False
-    return sk.m_prime == 1 or pow(g % sk.q, sk.exp_q, sk.q) == 1
+    return sk.m_prime == 1 or jacobi(g % sk.q, sk.q) == 1
 
 
 def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext,
@@ -223,14 +222,16 @@ def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext
     """Recover the plaintext: the first i with c * R[i]^-1 an m-th power.
 
     With chi(x) = (x * R[0]^-1)^((p-1)/m) mod p, the p side of that test is
-    chi(c) == chi(R[i]); for even m a p-side match also needs
-    (c * R[i]^-1)^((q-1)/2) = 1 (mod q), and the scan goes on when it
-    fails.  ``characters`` memoizes chi(R[0]), chi(R[1]), ... (chi(R[0]) =
-    1) and is filled in order as the scan first reaches each coset; it
-    belongs to this key pair, and a caller that decrypts several letters
-    under the key passes the same list each time.  A letter of plaintext i
-    costs one power mod p, the characters of R[1..i] not yet in the list,
-    and one power mod q per p-side match for even m.  A unit outside the
+    chi(c) == chi(R[i]); for even m a p-side match also needs the Legendre
+    symbol (c * R[i]^-1 | q) = 1 (``jacobi``: reciprocity, a half to a
+    third of the cost of Euler's criterion), and the scan goes on when it
+    fails.
+    ``characters`` memoizes chi(R[0]), chi(R[1]), ... (chi(R[0]) = 1) and
+    is filled in order as the scan first reaches each coset; it belongs to
+    this key pair, and a caller that decrypts several letters under the
+    key passes the same list each time.  A letter of plaintext i costs one
+    power mod p, the characters of R[1..i] not yet in the list, and one
+    Jacobi symbol mod q per p-side match for even m.  A unit outside the
     ciphertext group raises NotInImage after the full scan; a non-unit
     raises NotAUnit.
     """
@@ -248,7 +249,7 @@ def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext
         if i == len(characters):
             characters.append(pow(pk.transversal[i] * r_inv[0] % p, sk.exp_p, p))
         if x == characters[i] and (
-                sk.m_prime == 1 or pow(value * r_inv[i] % q, sk.exp_q, q) == 1):
+                sk.m_prime == 1 or jacobi(value * r_inv[i] % q, q) == 1):
             return i
     raise NotInImage(f"{c.value} lies in no transversal coset")
 
@@ -292,7 +293,7 @@ def _admissible_base(m: int, p: int, q: int, rng: random.Random) -> int:
 
     It suffices that h mod p avoids the ell-th powers for every prime
     ell | m, and that for even m the component h mod q is a quadratic
-    nonresidue (which also puts h inside the Jacobi-1 group).
+    nonresidue by ``jacobi`` (which also puts h inside the Jacobi-1 group).
     """
     primes = list(factorize(m))
     for _ in range(_BASE_ATTEMPTS):
@@ -305,7 +306,7 @@ def _admissible_base(m: int, p: int, q: int, rng: random.Random) -> int:
     if m % 2 == 0:
         for _ in range(_BASE_ATTEMPTS):
             h_q = rng.randrange(2, q)
-            if pow(h_q, (q - 1) // 2, q) != 1:
+            if jacobi(h_q, q) != 1:
                 break
         else:
             raise ExhaustedRetries("no quadratic nonresidue mod q found")

@@ -9,11 +9,13 @@ exactly when they are equal as sequences.
 ``normalize`` is the one path for raw letters (parsed text, evaluated
 witnesses, transversal words): one stack pass, linear in the input.  It
 does not check group membership: letters are checked where they enter,
-``parse_gword`` and ``p_phi`` holding each value to ``cyclic.in_group_G``.
-Words already in normal form never go through it again.  Their product can
-only merge at the seam, because inside each operand adjacent letters lie
-in distinct factors (the normal form theorem for free products, Lyndon and
-Schupp, *Combinatorial Group Theory*, ch. IV).  So ``g_multiply`` and the
+``parse_gword`` and ``p_phi`` (a caller's witness) holding each value to
+``cyclic.in_group_G``.  ``general.encrypt_general`` evaluates its own
+samples, members by construction, without a check.  Words already in
+normal form never go through it again.  Their product can only merge at
+the seam, because inside each operand adjacent letters lie in distinct
+factors (the normal form theorem for free products, Lyndon and Schupp,
+*Combinatorial Group Theory*, ch. IV).  So ``g_multiply`` and the
 rotation in ``inverse_p_phi`` walk outwards from the seam while the facing
 letters share a factor: one step per cancelled pair, at most one merged
 letter, and one tuple concatenation.  A product thus costs Python work in
@@ -355,31 +357,33 @@ class PsiWitness:
         return len(self.letters)
 
 
+def _phi_letters(factors: tuple[CyclicPublicKey, ...], witness: PhiWitness
+                 ) -> list[tuple[int, int]]:
+    """The raw letters ``p_phi`` normalizes, unchecked: each preimage letter
+    raised to its factor order, each plain letter as it is."""
+    return [(l.factor, pow(l.value, (pk := factors[l.factor - 1]).m, pk.n)
+             if l.is_a0 else l.value) for l in witness.letters]
+
+
 def p_phi(family: FactorFamily, witness: PhiWitness) -> GWord:
     """Evaluate a witness: preimage letters are raised to their factor order,
     plain letters pass through; the result is normalized and lies in the
     kernel of ``phi_map`` by construction.
 
-    A preimage letter a must be a unit: then a^m lies in the factor group
-    (its Jacobi symbol is that of a to the m-th power, 1 for even m), so no
-    Jacobi symbol is needed.  A plain letter must be an element of its
-    factor group written as a residue (``cyclic.in_group_G``).
+    Every letter of the caller's witness is checked first.  A preimage
+    letter a must be a unit: then a^m lies in the factor group (its Jacobi
+    symbol is that of a to the m-th power, 1 for even m), so no Jacobi
+    symbol is needed.  A plain letter must be an element of its factor
+    group written as a residue (``cyclic.in_group_G``).
     """
-    factors = family.factors
-    count = len(factors)
-    raw = []
     for letter in witness.letters:
         i, v = letter.factor, letter.value
-        pk = factors[i - 1] if 0 < i <= count else family.public(i)  # raises
-        n = pk.n
-        if letter.is_a0:
-            if gcd(v, n) != 1:
-                raise LetterOutOfGroup(f"{v} is not a unit modulo {n} (factor {i})")
-            v = pow(v, pk.m, n)
-        else:
+        pk = family.public(i)  # range-checks i
+        if not letter.is_a0:
             _check_letter(pk, i, v)
-        raw.append((i, v))
-    return normalize(family, raw)
+        elif gcd(v, pk.n) != 1:
+            raise LetterOutOfGroup(f"{v} is not a unit modulo {pk.n} (factor {i})")
+    return normalize(family, _phi_letters(family.factors, witness))
 
 
 def random_nonkernel_value(family: FactorFamily, i: int, rng: random.Random) -> int:
@@ -476,19 +480,20 @@ def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]
     return PhiWitness(tuple(letters), depth), empty_word(family)
 
 
+def _psi_letters(factors: tuple[CyclicPublicKey, ...],
+                 syllables: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The raw letters (i, R_i[e]) of (factor, index) syllables, unchecked."""
+    return [(i, factors[i - 1].transversal[e]) for i, e in syllables]
+
+
 def p_psi(family: FactorFamily, witness: PsiWitness) -> GWord:
     """Evaluate a transversal witness to the normalized product of its
     representatives."""
-    factors = family.factors
-    count = len(factors)
-    raw = []
-    for letter in witness.letters:
-        i = letter.factor
-        pk = factors[i - 1] if 0 < i <= count else family.public(i)  # raises
-        if not 0 <= letter.index < pk.m:
-            raise ValueError(f"transversal index {letter.index} out of range")
-        raw.append((i, pk.transversal[letter.index]))
-    return normalize(family, raw)
+    syllables = [(l.factor, l.index) for l in witness.letters]
+    for i, e in syllables:
+        if not 0 <= e < family.order(i):  # range-checks i
+            raise ValueError(f"transversal index {e} out of range")
+    return normalize(family, _psi_letters(family.factors, syllables))
 
 
 def combined_P(family: FactorFamily, a: PhiWitness, b: PsiWitness) -> GWord:

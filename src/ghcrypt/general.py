@@ -30,7 +30,8 @@ from .freeprod import (
     PhiWitness,
     PsiLetter,
     PsiWitness,
-    combined_P,
+    _phi_letters,
+    _psi_letters,
     g_inverse,
     g_multiply,
     inverse_p_phi,
@@ -114,8 +115,7 @@ class GeneralPublicKey:
             word = self.coordinates[element_index]
         except KeyError:
             raise ValueError(f"element {element_index} unknown to the key") from None
-        return normalize(self.family, [
-            (i, self.family.public(i).transversal[e]) for i, e in word])
+        return normalize(self.family, _psi_letters(self.family.factors, word))
 
 
 @dataclass(frozen=True)
@@ -212,9 +212,9 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
         raise ValueError("plaintext element belongs to a different group")
     if pk.family.count == 1:
         # One factor: the kernel is the group of m-th powers, so a fresh a^m
-        # is the whole random kernel word.  sample_A/combined_P would reach
-        # the same kind of word with a Jacobi check of a^m and extra
-        # normalize passes, several times the cost of this product.
+        # is the whole random kernel word.  sample_A and the normalize pass
+        # below would reach the same kind of word at several times the cost
+        # of this product.
         fpk = pk.family.public(1)
         bare = _randomization(pk, phi_steps, psi_length) == (0, 0)
         a = 1 if bare else random_unit(fpk.n, rng)
@@ -222,9 +222,13 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
         for _, e in pk.coordinates[h.index]:  # no syllable for the identity
             value = value * fpk.transversal[e] % fpk.n
         return GeneralCiphertext(normalize(pk.family, [(1, value)]))
+    # combined_P(wa, wb) times the representative in one normalize pass (the
+    # same word: normal forms are unique); no self-sampled letter is checked
     wa, wb = sample_A(pk, rng, phi_steps=phi_steps, psi_length=psi_length)
-    kernel_word = combined_P(pk.family, wa, wb)
-    return GeneralCiphertext(g_multiply(kernel_word, pk.transversal_word(h.index)))
+    factors = pk.family.factors
+    syllables = [(l.factor, l.index) for l in wb.letters] + list(pk.coordinates[h.index])
+    return GeneralCiphertext(normalize(pk.family, _phi_letters(factors, wa)
+                                       + _psi_letters(factors, syllables)))
 
 
 def decrypt_general(sk: GeneralSecretKey, pk: GeneralPublicKey,

@@ -61,7 +61,7 @@ class TestKeygenFixtures:
         pk, sk = key35
         assert pk.n == 35 and pk.m == 3
         assert pk.transversal == (1, 17, 9)  # 17^2 = 289 = 9 (mod 35)
-        assert sk.m_prime == 1 and sk.exp_p == 2 and sk.exp_q == 4
+        assert sk.m_prime == 1 and sk.exp_p == 2
 
     def test_n77_unrandomized(self, key77):
         pk, sk = key77
@@ -70,7 +70,7 @@ class TestKeygenFixtures:
         # oracle: 6 is a non-square mod 77 with Jacobi symbol 1
         assert 6 not in power_image(77, 2)
         assert jacobi(6, 77) == 1
-        assert sk.m_prime == 2 and sk.exp_q == 5
+        assert sk.m_prime == 2
 
     def test_transversal_classes_distinct(self, key35, key77):
         for pk, sk in (key35, key77):

@@ -9,7 +9,7 @@ import pytest
 
 from ghcrypt import cyclic, groupcore
 from ghcrypt.errors import Error, FormatError
-from ghcrypt.freeprod import FactorFamily, combined_P, phi_map, psi_map
+from ghcrypt.freeprod import FactorFamily, combined_P, g_multiply, phi_map, psi_map
 from ghcrypt.general import (
     GeneralCiphertext,
     GeneralPublicKey,
@@ -205,6 +205,86 @@ class TestSampleA:
                 word = combined_P(fam, a, b)
                 k = phi_map(word, sk.factors, pk.generators)
                 assert psi_map(k, pk.group).index == 0
+
+
+class TestOnePassEncrypt:
+    """The multi-factor path of encrypt_general normalizes the sampled
+    witnesses and the representative in one pass; the word must be the one
+    the composition gives, byte for byte."""
+
+    SIZES = [(0, 0), (1, 0), (0, 3), (4, 2), (None, None)]
+
+    @pytest.mark.parametrize("k,bits", [(3, 8), (4, 12), (5, 16)])
+    def test_equals_combined_P_times_representative(self, k, bits):
+        pk, _ = keygen_general(sym(k), bits, random.Random(140 + k))
+        assert pk.family.count > 1
+        for h in pk.group.elements():
+            for s, (steps, length) in enumerate(self.SIZES):
+                sizes = {"phi_steps": steps, "psi_length": length}
+                seed = 10 * h.index + s
+                got = encrypt_general(pk, h, random.Random(seed), **sizes)
+                a, b = sample_A(pk, random.Random(seed), **sizes)
+                want = g_multiply(combined_P(pk.family, a, b),
+                                  pk.transversal_word(h.index))
+                assert got.word == want, (k, h.index, sizes)
+
+
+class TestWorkCounts:
+    """Deterministic counts of the number theory an encryption or a
+    decryption does, so a regression shows without timing noise."""
+
+    @staticmethod
+    def count_jacobi(monkeypatch):
+        calls = [0]
+
+        def counting_jacobi(a, n):
+            calls[0] += 1
+            return jacobi(a, n)
+
+        monkeypatch.setattr(cyclic, "jacobi", counting_jacobi)
+        return calls
+
+    def test_encrypt_program_computes_no_jacobi_symbol(self, monkeypatch):
+        from ghcrypt.barrington import compile_barrington
+        from ghcrypt.circuit import parse_circuit
+        from ghcrypt.encsim import encrypt_program
+
+        pk, _ = keygen_general(sym(5), 16, random.Random(145))
+        assert any(pk.family.order(i) % 2 == 0
+                   for i in range(1, pk.family.count + 1))
+        circuit = parse_circuit("INPUTS x1 x2 x3\ng1 = OR x1 x2\n"
+                                "g2 = AND g1 x3\nOUTPUT g2\n")
+        program = compile_barrington(circuit, pk.group)
+        calls = self.count_jacobi(monkeypatch)
+        ep = encrypt_program(pk, program, random.Random(146),
+                             phi_steps=4, psi_length=2)
+        assert len(ep.instructions) == len(program.instructions) > 0
+        assert calls[0] == 0
+
+    def test_decrypt_computes_one_jacobi_symbol_per_even_order_letter(
+            self, monkeypatch):
+        import builtins
+
+        pk, sk = keygen_general(sym(5), 16, random.Random(147))
+        euler = {(fsk.q - 1) // 2 for fsk in sk.factors}
+        rng = random.Random(148)
+        words = [encrypt_general(pk, h, rng, phi_steps=4, psi_length=2)
+                 for h in pk.group.elements()]
+        calls = self.count_jacobi(monkeypatch)
+        exponents = []
+
+        def counting_pow(*args):
+            exponents.append(args[1])
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(cyclic, "pow", counting_pow, raising=False)
+        for h, c in zip(pk.group.elements(), words):
+            even = sum(pk.family.order(l.factor) % 2 == 0 for l in c.word.letters)
+            before = calls[0]
+            assert decrypt_general(sk, pk, c).index == h.index
+            assert calls[0] - before == even
+        assert calls[0] > 0
+        assert euler.isdisjoint(exponents)
 
 
 class TestInverseP:
