@@ -31,6 +31,7 @@ from .general import (
     GeneralPublicKey,
     GeneralSecretKey,
     decrypt_general,
+    decrypt_general_text,
     encrypt_general,
     inverse_P_general,
     keygen_general,
@@ -71,6 +72,7 @@ __all__ = [
     "keygen_general",
     "encrypt_general",
     "decrypt_general",
+    "decrypt_general_text",
     "mult_ciphertexts_general",
     "inverse_P_general",
     "Circuit",

@@ -156,9 +156,7 @@ def _cmd_decrypt(args) -> int:
     if kind == "cyclic":
         print(cyclic.decrypt_cyclic(sk, pk, _parse_cyclic_cipher(text, pk)))
     else:
-        word = parse_gword(text, pk.family)
-        h = general.decrypt_general(sk, pk, GeneralCiphertext(word))
-        print(h.label)
+        print(general.decrypt_general_text(sk, pk, text).label)
     return 0
 
 

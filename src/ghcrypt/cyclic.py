@@ -6,7 +6,8 @@ R[0..m-1] of the subgroup of m-th powers inside
     G(n, m) = { g in Z_n^* : (g | n) in {1, (-1)^(m mod 2)} }
 
 with (g | n) the Jacobi symbol (all units for odd m, the Jacobi-symbol-1
-half for even m); ``in_group_G`` decides membership.  Encryption of
+half for even m); ``in_group_G`` decides membership publicly, and the
+key owner decides it by decrypting (``decrypt_cyclic``).  Encryption of
 the plaintext i is a^m * R[i] for a fresh random unit a; multiplying
 ciphertexts adds plaintexts mod m.  The trapdoor is the factorization of n:
 p = 1 (mod m) and gcd(m, q-1) = gcd(m, 2), so membership in the group of
@@ -233,7 +234,11 @@ def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext
     power mod p, the characters of R[1..i] not yet in the list, and one
     Jacobi symbol mod q per p-side match for even m.  A unit outside the
     ciphertext group raises NotInImage after the full scan; a non-unit
-    raises NotAUnit.
+    raises NotAUnit.  So for a key pair made by keygen, decryption returns
+    i only for members of G(n, m) and raises NotAUnit or NotInImage
+    otherwise: the key owner can check a received value in 1..n-1 by
+    decrypting it, with no Jacobi symbol mod n (the value is reduced mod
+    n, so the range is the caller's to check).
     """
     n, p, q = pk.n, sk.p, sk.q
     value = c.value % n

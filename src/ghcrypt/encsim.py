@@ -32,6 +32,7 @@ from .general import (
     GeneralPublicKey,
     GeneralSecretKey,
     decrypt_general,
+    decrypt_general_text,
     encrypt_general,
 )
 
@@ -313,8 +314,7 @@ class CircuitAlice:
     def result_message(self, word_text: str) -> tuple[str, int]:
         if self._target is None:
             raise Error("result requested before the program was sent")
-        word = parse_gword(word_text, self.pk.family)
-        h = decrypt_general(self.sk, self.pk, GeneralCiphertext(word))
+        h = decrypt_general_text(self.sk, self.pk, word_text)
         bit = _output_bit(h, self._target)
         return f"bit: {bit}\nfg: {h.index}\n", bit
 
@@ -366,8 +366,7 @@ class InputAlice:
         return "\n".join(lines) + "\n"
 
     def decrypt_message(self, word_text: str) -> tuple[str, GroupElement]:
-        word = parse_gword(word_text, self.pk.family)
-        h = decrypt_general(self.sk, self.pk, GeneralCiphertext(word))
+        h = decrypt_general_text(self.sk, self.pk, word_text)
         return f"element: {h.index}\n", h
 
 

@@ -10,8 +10,13 @@ exactly when they are equal as sequences.
 witnesses, transversal words): one stack pass, linear in the input.  It
 does not check group membership: letters are checked where they enter,
 ``parse_gword`` and ``p_phi`` (a caller's witness) holding each value to
-``cyclic.in_group_G``.  ``general.encrypt_general`` evaluates its own
-samples, members by construction, without a check.  Words already in
+the public rule ``cyclic.in_group_G``, one Jacobi symbol mod n_i per
+even-order letter.  The key owner reads a received word with
+``general.decrypt_general_text`` instead: the same tokens, read by the same
+tokenizer, but each raw letter is checked by decrypting it, since with the
+factorization a letter decrypts exactly when it is a member.
+``general.encrypt_general`` evaluates its own samples, members by
+construction, without a check.  Words already in
 normal form never go through it again.  Their product can only merge at
 the seam, because inside each operand adjacent letters lie in distinct
 factors (the normal form theorem for free products, Lyndon and Schupp,
@@ -45,7 +50,7 @@ A :class:`FactorFamily` is public data: the calls that need trapdoors
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -148,12 +153,17 @@ def empty_word(family: FactorFamily) -> GWord:
     return GWord(family, ())
 
 
+def _outside_group(pk: CyclicPublicKey, i: int, v: int) -> LetterOutOfGroup:
+    """The error for a value v of factor i that is no member of its group."""
+    return LetterOutOfGroup(
+        f"{v} is not an element of G({pk.n}, {pk.m}) within 1..{pk.n - 1}"
+        f" (factor {i})")
+
+
 def _check_letter(pk: CyclicPublicKey, i: int, v: int) -> None:
     """LetterOutOfGroup unless ``in_group_G`` holds for v in factor i."""
     if not in_group_G(pk, v):
-        raise LetterOutOfGroup(
-            f"{v} is not an element of G({pk.n}, {pk.m}) within 1..{pk.n - 1}"
-            f" (factor {i})")
+        raise _outside_group(pk, i, v)
 
 
 def normalize(family: FactorFamily,
@@ -283,6 +293,28 @@ def k_multiply(u: KWord, v: KWord) -> KWord:
     return kword_from_runs(u.runs + v.runs)
 
 
+def _coset_run(factors: tuple[CyclicPublicKey, ...],
+               secrets: Sequence[CyclicSecretKey], symbols: Sequence[int]
+               ) -> Callable[[int, int], tuple[int, int, int]]:
+    """The key owner's per-letter step of phi: a letter (i, v) to the run
+    (symbols[i-1], coset index of v, m_i) by ``decrypt_cyclic``, which
+    raises NotAUnit or NotInImage for a value it cannot decrypt.
+
+    The step keeps one transversal-character list per factor for all its
+    calls, so a letter costs one power mod its p_i, plus one Jacobi symbol
+    mod q_i for even order.  A run of exponent 0 (a kernel letter) is
+    dropped by ``kword_from_runs``.
+    """
+    characters: list[list[int]] = [[] for _ in factors]
+
+    def run(i: int, v: int) -> tuple[int, int, int]:
+        pk = factors[i - 1]
+        e = decrypt_cyclic(secrets[i - 1], pk, CyclicCiphertext(v), characters[i - 1])
+        return symbols[i - 1], e, pk.m
+
+    return run
+
+
 def phi_map(g: GWord, secrets: Sequence[CyclicSecretKey],
             symbols: Sequence[int] | None = None) -> KWord:
     """Image of a word under the factor-wise coset epimorphism.
@@ -290,21 +322,12 @@ def phi_map(g: GWord, secrets: Sequence[CyclicSecretKey],
     ``secrets[i-1]`` is the secret key of factor i of the word's family
     (the trapdoor; a general key's ``factors``).  ``symbols[i-1]`` names
     the cyclic factor of factor i in the image (defaults to the factor
-    index itself).  Each factor's transversal characters are computed once
-    for the word (one ``decrypt_cyclic`` list per factor), so a letter
-    costs one power mod its p_i, plus one mod q_i for even order.
+    index itself).  Each letter goes through ``_coset_run``: one power mod
+    its p_i, plus one mod q_i for even order.
     """
     factors = g.family.factors
-    characters: dict[int, list[int]] = {}
-    runs = []
-    for letter in g.letters:
-        i = letter.factor
-        pk = factors[i - 1]
-        e = decrypt_cyclic(secrets[i - 1], pk, CyclicCiphertext(letter.value),
-                           characters.setdefault(i, []))
-        if e:
-            runs.append((symbols[i - 1] if symbols else i, e, pk.m))
-    return kword_from_runs(runs)
+    run = _coset_run(factors, secrets, symbols or range(1, len(factors) + 1))
+    return kword_from_runs(run(l.factor, l.value) for l in g.letters)
 
 
 def psi_map(k: KWord, H: FiniteGroup) -> GroupElement:
@@ -520,22 +543,22 @@ def format_gword(w: GWord) -> str:
     return " ".join(f"{l.factor}:{l.value}" for l in w.letters)
 
 
-def parse_gword(text: str, family: FactorFamily) -> GWord:
-    """Parse the ``format_gword`` encoding of a word over ``family``.
+def _letters(text: str, family: FactorFamily) -> Iterator[tuple[int, int]]:
+    """The raw (factor, value) letters of a ``format_gword`` text, in token
+    order; none for ``e``.
 
     The text is read through ``errors.records``, so it takes '#' comments
-    and blank lines like every other artifact.  Each ``factor:value`` token
-    names a factor of the family and an element of its group written as a
-    residue (``cyclic.in_group_G``), else LetterOutOfGroup; the letters are
-    then normalized.
+    and blank lines like every other artifact.  FormatError for an empty
+    text, a token that is not ``factor:value`` or a factor outside the
+    family; the values are the caller's to check, letter by letter, so that
+    errors come in token order.
     """
     tokens = [token for line in records(text) for token in line.split()]
     if not tokens:
         raise FormatError("empty word encoding (use 'e' for the identity)")
     if tokens == ["e"]:
-        return empty_word(family)
-    factors = family.factors
-    raw = []
+        return
+    count = family.count
     for token in tokens:
         factor_str, sep, value_str = token.partition(":")
         if not sep:
@@ -544,8 +567,21 @@ def parse_gword(text: str, family: FactorFamily) -> GWord:
             factor, value = int(factor_str), int(value_str)
         except ValueError:
             raise FormatError(f"bad word token {token!r}") from None
-        if not 1 <= factor <= len(factors):
-            raise FormatError(f"factor {factor} out of range 1..{len(factors)}")
-        _check_letter(factors[factor - 1], factor, value)
-        raw.append((factor, value))
+        if not 1 <= factor <= count:
+            raise FormatError(f"factor {factor} out of range 1..{count}")
+        yield factor, value
+
+
+def parse_gword(text: str, family: FactorFamily) -> GWord:
+    """Parse the ``format_gword`` encoding of a word over ``family``.
+
+    The public reader: each letter of ``_letters`` must be an element of
+    its factor group written as a residue (``cyclic.in_group_G``), else
+    LetterOutOfGroup; the letters are then normalized.
+    """
+    factors = family.factors
+    raw = []
+    for i, v in _letters(text, family):
+        _check_letter(factors[i - 1], i, v)
+        raw.append((i, v))
     return normalize(family, raw)

@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 
 from .errors import Error, FormatError, header, ints, records
 from .groupcore import FiniteGroup, GroupElement, format_group, read_group
-from .numtheory import ExhaustedRetries
+from .numtheory import ExhaustedRetries, NotAUnit
 from .cyclic import (
     CyclicPublicKey,
     CyclicSecretKey,
+    NotInImage,
     check_cyclic_pk,
+    in_group_G,
     keygen_cyclic,
     random_unit,
 )
@@ -30,11 +32,15 @@ from .freeprod import (
     PhiWitness,
     PsiLetter,
     PsiWitness,
+    _coset_run,
+    _letters,
+    _outside_group,
     _phi_letters,
     _psi_letters,
     g_inverse,
     g_multiply,
     inverse_p_phi,
+    kword_from_runs,
     normalize,
     p_psi,
     phi_map,
@@ -53,6 +59,7 @@ __all__ = [
     "keygen_general",
     "encrypt_general",
     "decrypt_general",
+    "decrypt_general_text",
     "mult_ciphertexts_general",
     "sample_A",
     "inverse_P_general",
@@ -237,6 +244,41 @@ def decrypt_general(sk: GeneralSecretKey, pk: GeneralPublicKey,
     _require_key_family(pk, c.word)
     k = phi_map(c.word, sk.factors, pk.generators)
     return psi_map(k, pk.group)
+
+
+def decrypt_general_text(sk: GeneralSecretKey, pk: GeneralPublicKey,
+                         text: str) -> GroupElement:
+    """The key owner's reader: decrypt a word straight from its text.
+
+    The tokens, factor range and 0 < v < n_i checks are ``parse_gword``'s,
+    but membership is decided by the trapdoor: for a key pair made by
+    keygen a value decrypts exactly when it lies in G(n_i, m_i), so each
+    letter costs one power mod p_i, plus one Jacobi symbol mod q_i for even
+    m_i, and no Jacobi symbol mod n_i.  A letter that does not decrypt
+    raises ``parse_gword``'s LetterOutOfGroup, and errors come in token
+    order.  Each raw letter is decrypted before any merging, so two
+    non-members whose product is a member are still rejected.  phi is a
+    homomorphism and normal forms are unique, so the result is
+    ``decrypt_general`` of ``parse_gword``'s word.  A member that decrypts
+    to no coset (a loaded key pair whose public transversal leaves a coset
+    uncovered) raises ``decrypt_cyclic``'s NotInImage, not LetterOutOfGroup.
+    """
+    factors = pk.family.factors
+    run = _coset_run(factors, sk.factors, pk.generators)
+    runs = []
+    for i, v in _letters(text, pk.family):
+        fpk = factors[i - 1]
+        if not 0 < v < fpk.n:
+            raise _outside_group(fpk, i, v)
+        try:
+            runs.append(run(i, v))
+        except NotInImage:
+            if in_group_G(fpk, v):
+                raise
+            raise _outside_group(fpk, i, v) from None
+        except NotAUnit:
+            raise _outside_group(fpk, i, v) from None
+    return psi_map(kword_from_runs(runs), pk.group)
 
 
 def mult_ciphertexts_general(pk: GeneralPublicKey, c1: GeneralCiphertext,

@@ -382,6 +382,32 @@ class TestExitCodes:
             assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
+    def test_cyclic_decrypt_rejects_as_hommul_does(self, tmp_path, capsys):
+        # decrypt and hommul hold a cyclic ciphertext to the same rule and
+        # reject a non-member with the same message
+        from ghcrypt.numtheory import jacobi
+
+        keys = tmp_path / "z4"
+        assert run(capsys, "keygen", "--group", "z4", "--bits", "16",
+                   "--seed", "1", "--out", str(keys))[0] == 0
+        pk, sk = str(keys / "pk.txt"), str(keys / "sk.txt")
+        n = int((keys / "pk.txt").read_text().split("n:")[1].split()[0])
+        p = int((keys / "sk.txt").read_text().split("p:")[1].split()[0])
+        good = tmp_path / "good"
+        assert run(capsys, "encrypt", "--pk", pk, "--plain", "3", "--seed", "g",
+                   "--out", str(good))[0] == 0
+        g = int(good.read_text())
+        assert jacobi(3, n) == -1
+        for value in (0, n, n + g, -g, p, n // p, 3, 3 * g % n):
+            bad = tmp_path / "bad"
+            bad.write_text(f"{value}\n")
+            want = f"error: ciphertext {value} is not in G(n, m) within 1..n-1\n"
+            for argv in (("decrypt", "--sk", sk, "--pk", pk, "--cipher", str(bad)),
+                         ("hommul", "--pk", pk, str(good), str(bad))):
+                assert run(capsys, *argv) == (1, "", want), (argv[0], value)
+        assert run(capsys, "decrypt", "--sk", sk, "--pk", pk,
+                   "--cipher", str(good)) == (0, "3\n", "")
+
     @pytest.mark.parametrize("case", [
         "cipher_is_dir", "pk_is_dir", "cipher_not_utf8", "group_not_utf8",
         "out_in_missing_dir", "transcript_in_missing_dir", "keygen_out_is_file"])

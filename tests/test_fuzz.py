@@ -28,10 +28,12 @@ from ghcrypt.cyclic import (
     parse_cyclic_pk,
     parse_cyclic_sk,
 )
-from ghcrypt.encsim import parse_encrypted_program, parse_group_circuit
+from ghcrypt.encsim import (CircuitAlice, CircuitBob, parse_encrypted_program,
+                            parse_group_circuit)
 from ghcrypt.errors import Error
 from ghcrypt.freeprod import format_gword, parse_gword
 from ghcrypt.general import (
+    decrypt_general_text,
     encrypt_general,
     format_general_pk,
     format_general_sk,
@@ -84,7 +86,12 @@ def artifacts(tmp_path_factory):
     gpk, gsk = keygen_general(S3, 12, random.Random(19))
     words = [format_gword(encrypt_general(gpk, S3.element(k), rng, phi_steps=1,
                                           psi_length=1).word) for k in range(4)]
-    program = compile_barrington(parse_circuit((DATA / "and2.bc").read_text()), sym(5))
+    and2 = parse_circuit((DATA / "and2.bc").read_text())
+    program = compile_barrington(and2, sym(5))
+    # a key owner waiting for Bob's result word
+    pk5, sk5 = keygen_general(sym(5), 12, random.Random(23))
+    alice = CircuitAlice(sk5, pk5, and2, random.Random(29), phi_steps=1, psi_length=1)
+    result = CircuitBob(pk5, (1, 1)).evaluation_message(alice.program_message())
     texts = {
         "group": format_group(S3),
         "program": format_program(program),
@@ -95,6 +102,7 @@ def artifacts(tmp_path_factory):
         "cpk": format_cyclic_pk(cpk), "csk": format_cyclic_sk(csk),
         "gpk": format_general_pk(gpk), "gsk": format_general_sk(gsk),
         "cc": f"{encrypt_cyclic(cpk, 2, rng).value}\n", "gc": words[1] + "\n",
+        "owner": words[1] + "\n", "result": result,
     }
     parsers = {
         "group": parse_group,
@@ -108,12 +116,15 @@ def artifacts(tmp_path_factory):
         "gsk": lambda t: parse_general_sk(t, gpk),
         "cc": lambda t: _parse_cyclic_cipher(t, cpk),
         "gc": lambda t: parse_gword(t, gpk.family),
+        # the key owner's readers of a received word
+        "owner": lambda t: decrypt_general_text(gsk, gpk, t),
+        "result": alice.result_message,
     }
     return texts, parsers, tmp_path_factory.mktemp("fuzz")
 
 
 @pytest.mark.parametrize("name", ["group", "program", "eprog", "gcirc", "circuit",
-                                  "cpk", "csk", "gpk", "gsk"])
+                                  "cpk", "csk", "gpk", "gsk", "owner", "result"])
 @FUZZ
 @given(edits=EDITS)
 def test_parser_raises_only_domain_errors(artifacts, name, edits):
@@ -129,7 +140,8 @@ SAME = {"group": format_group, "gpk": format_general_pk}
 
 
 @pytest.mark.parametrize("name", ["group", "program", "eprog", "gcirc", "circuit",
-                                  "cpk", "csk", "gpk", "gsk", "cc", "gc"])
+                                  "cpk", "csk", "gpk", "gsk", "cc", "gc", "owner",
+                                  "result"])
 def test_comments_and_blank_lines(artifacts, name):
     # the README rule: every artifact text takes '#' comments and blank lines
     texts, parsers, _ = artifacts
@@ -162,3 +174,18 @@ def test_cli_exits_with_a_code(artifacts, command, data, edits):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = run_cli([str(tmp / a) if a in texts else a for a in argv])
     assert rc in (0, 1, 2)
+
+
+@pytest.mark.parametrize("kind", ["c", "g"], ids=["cyclic", "general"])
+@settings(FUZZ, max_examples=30)
+@given(edits=EDITS)
+def test_cli_decrypts_mutated_word(artifacts, kind, edits):
+    # CLI decrypt: valid keys, a mutated ciphertext
+    texts, _, tmp = artifacts
+    files = {f: tmp / f"owner-{f}" for f in (kind + "pk", kind + "sk", kind + "c")}
+    for f, path in files.items():
+        path.write_text(mutate(texts[f], edits) if f == kind + "c" else texts[f])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = run_cli(["decrypt", "--sk", str(files[kind + "sk"]),
+                      "--pk", str(files[kind + "pk"]), "--cipher", str(files[kind + "c"])])
+    assert rc in (0, 1)

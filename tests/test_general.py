@@ -9,13 +9,15 @@ import pytest
 
 from ghcrypt import cyclic, groupcore
 from ghcrypt.errors import Error, FormatError
-from ghcrypt.freeprod import FactorFamily, combined_P, g_multiply, phi_map, psi_map
+from ghcrypt.freeprod import (FactorFamily, combined_P, format_gword, g_multiply,
+                               parse_gword, phi_map, psi_map)
 from ghcrypt.general import (
     GeneralCiphertext,
     GeneralPublicKey,
     IdentityGroup,
     MalformedWord,
     decrypt_general,
+    decrypt_general_text,
     encrypt_general,
     format_general_pk,
     format_general_sk,
@@ -235,14 +237,15 @@ class TestWorkCounts:
 
     @staticmethod
     def count_jacobi(monkeypatch):
-        calls = [0]
+        """The moduli of the Jacobi symbols computed from now on, in order."""
+        moduli = []
 
         def counting_jacobi(a, n):
-            calls[0] += 1
+            moduli.append(n)
             return jacobi(a, n)
 
         monkeypatch.setattr(cyclic, "jacobi", counting_jacobi)
-        return calls
+        return moduli
 
     def test_encrypt_program_computes_no_jacobi_symbol(self, monkeypatch):
         from ghcrypt.barrington import compile_barrington
@@ -255,11 +258,11 @@ class TestWorkCounts:
         circuit = parse_circuit("INPUTS x1 x2 x3\ng1 = OR x1 x2\n"
                                 "g2 = AND g1 x3\nOUTPUT g2\n")
         program = compile_barrington(circuit, pk.group)
-        calls = self.count_jacobi(monkeypatch)
+        moduli = self.count_jacobi(monkeypatch)
         ep = encrypt_program(pk, program, random.Random(146),
                              phi_steps=4, psi_length=2)
         assert len(ep.instructions) == len(program.instructions) > 0
-        assert calls[0] == 0
+        assert moduli == []
 
     def test_decrypt_computes_one_jacobi_symbol_per_even_order_letter(
             self, monkeypatch):
@@ -270,7 +273,7 @@ class TestWorkCounts:
         rng = random.Random(148)
         words = [encrypt_general(pk, h, rng, phi_steps=4, psi_length=2)
                  for h in pk.group.elements()]
-        calls = self.count_jacobi(monkeypatch)
+        moduli = self.count_jacobi(monkeypatch)
         exponents = []
 
         def counting_pow(*args):
@@ -280,11 +283,160 @@ class TestWorkCounts:
         monkeypatch.setattr(cyclic, "pow", counting_pow, raising=False)
         for h, c in zip(pk.group.elements(), words):
             even = sum(pk.family.order(l.factor) % 2 == 0 for l in c.word.letters)
-            before = calls[0]
+            before = len(moduli)
             assert decrypt_general(sk, pk, c).index == h.index
-            assert calls[0] - before == even
-        assert calls[0] > 0
+            assert len(moduli) - before == even
+        assert moduli
         assert euler.isdisjoint(exponents)
+
+    @staticmethod
+    def protocol_sides(seed):
+        """A Sym(5) key pair with even-order factors, Alice's encrypted
+        program of a 3-input chain, and Bob's result word for input 111."""
+        from ghcrypt.circuit import parse_circuit
+        from ghcrypt.encsim import CircuitAlice, CircuitBob
+
+        pk, sk = keygen_general(sym(5), 16, random.Random(seed))
+        assert all(pk.family.order(i) % 2 == 0
+                   for i in range(1, pk.family.count + 1))
+        circuit = parse_circuit("INPUTS x1 x2 x3\ng1 = OR x1 x2\n"
+                                "g2 = AND g1 x3\nOUTPUT g2\n")
+        alice = CircuitAlice(sk, pk, circuit, random.Random(seed + 1),
+                             phi_steps=4, psi_length=2)
+        bob = CircuitBob(pk, (1, 1, 1))
+        return pk, sk, alice, bob, alice.program_message()
+
+    def test_key_owner_reads_a_word_without_jacobi_symbols_mod_n(self, monkeypatch):
+        pk, sk, alice, bob, program = self.protocol_sides(171)
+        word = bob.evaluation_message(program)
+        letters = [int(token.split(":")[0]) for token in word.split()]
+        assert letters
+        moduli = self.count_jacobi(monkeypatch)
+        assert alice.result_message(word)[1] == 1
+        assert not {f.n for f in pk.family.factors} & set(moduli)
+        assert moduli == [sk.factors[i - 1].q for i in letters]
+
+    def test_bob_checks_each_letter_with_a_jacobi_symbol_mod_n(self, monkeypatch):
+        pk, _, _, bob, program = self.protocol_sides(172)
+        letters = [int(token.split(":")[0])
+                   for line in program.splitlines()[1:] for token in line.split()[1:]
+                   if token != "e"]
+        assert letters
+        moduli = self.count_jacobi(monkeypatch)
+        bob.evaluation_message(program)
+        assert moduli == [pk.family.modulus(i) for i in letters]
+
+
+def outcome(read, text):
+    """The element index a reader returns for text, or the class and
+    message of the domain error it raises."""
+    try:
+        return read(text).index
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+class TestOwnerReader:
+    """``decrypt_general_text`` reads every text as ``parse_gword`` and then
+    ``decrypt_general`` do: the same element, or the same error."""
+
+    @staticmethod
+    def readers(pk, sk):
+        """The public reader and the key owner's, as functions of the text."""
+        return (lambda t: decrypt_general(sk, pk, GeneralCiphertext(parse_gword(t, pk.family))),
+                lambda t: decrypt_general_text(sk, pk, t))
+
+    @staticmethod
+    def hand_built(pk, rng):
+        """Texts that are not normal forms: adjacent same-factor letters,
+        cancelling pairs, letters i:1, comments and tabs."""
+        texts = ["e", "e  # the identity\n", "1:1", "1:1\t1:1"]
+        for _ in range(40):
+            letters = []
+            for _ in range(rng.randrange(1, 8)):
+                i = rng.randrange(1, pk.family.count + 1)
+                fpk = pk.family.public(i)
+                v = pow(rng.randrange(2, fpk.n), fpk.m, fpk.n) * \
+                    fpk.transversal[rng.randrange(fpk.m)] % fpk.n
+                kind = rng.randrange(4)
+                if kind == 0:    # a cancelling pair
+                    letters += [f"{i}:{v}", f"{i}:{mod_inverse(v, fpk.n)}"]
+                elif kind == 1:  # two adjacent letters of one factor
+                    letters += [f"{i}:{v}", f"{i}:{fpk.transversal[1]}"]
+                elif kind == 2:
+                    letters.append(f"{i}:1")
+                else:
+                    letters.append(f"{i}:{v}")
+            sep = rng.choice([" ", "\t", "\n", " # c\n"])
+            texts.append(sep.join(letters) + "\n")
+        return texts
+
+    @pytest.mark.parametrize("H,bits,seed", [(sym(3), 16, 151), (sym(5), 16, 152),
+                                             (cyclic_group(6), 16, 153),
+                                             (cyclic_group(5), 12, 154)],
+                             ids=["sym3", "sym5", "z6", "z5"])
+    def test_same_element(self, H, bits, seed):
+        pk, sk = keygen_general(H, bits, random.Random(seed))
+        rng = random.Random(seed + 1000)
+        public, owner = self.readers(pk, sk)
+        words = [encrypt_general(pk, h, rng, phi_steps=4, psi_length=2)
+                 for h in H.elements() for _ in range(2)]
+        products = [mult_ciphertexts_general(pk, rng.choice(words), rng.choice(words))
+                    for _ in range(20)]
+        texts = [format_gword(c.word) for c in words + products]
+        texts += self.hand_built(pk, rng)
+        for text in texts:
+            want = outcome(public, text)
+            assert isinstance(want, int), (text, want)
+            assert outcome(owner, text) == want, text
+
+    @pytest.mark.parametrize("H,seed", [(sym(3), 161), (sym(5), 162),
+                                        (cyclic_group(6), 163),
+                                        (cyclic_group(5), 164)],
+                             ids=["sym3", "sym5", "z6", "z5"])
+    def test_same_error(self, H, seed):
+        pk, sk = keygen_general(H, 16, random.Random(seed))
+        public, owner = self.readers(pk, sk)
+        good = format_gword(encrypt_general(pk, H.element(1), random.Random(seed)).word)
+        texts = ["", "# only a comment\n", "e e", "1:", ":5", "1:x", "0:5",
+                 f"{pk.family.count + 1}:5", good + " 1:0 1:x", good + " 1:x 1:0"]
+        for i, (fpk, fsk) in enumerate(zip(pk.family.factors, sk.factors), start=1):
+            v = fpk.transversal[1]
+            bad = [0, fpk.n, v + fpk.n, -v, fsk.p, fsk.q, fpk.n - fsk.p]
+            if fpk.m % 2 == 0:
+                # two letters of Jacobi symbol -1 whose product is a member:
+                # normalize would merge them into one good letter
+                u = jacobi_minus_one(fpk.n)
+                w = next(w for w in range(u + 1, fpk.n)
+                         if jacobi(w, fpk.n) == -1 and gcd(w, fpk.n) == 1)
+                assert jacobi(u * w % fpk.n, fpk.n) == 1
+                bad.append(u)
+                texts.append(f"{i}:{u} {i}:{w}")
+                texts.append(f"{good} {i}:{u} {i}:{w} {good}")
+            for b in bad:
+                texts += [f"{i}:{b}", f"{good} {i}:{b}", f"{i}:{b} {good}",
+                          f"{i}:{b} 1:x", f"{i}:{b}\t{i}:{b}"]
+        for text in texts:
+            want = outcome(public, text)
+            assert not isinstance(want, int), (text, want)
+            assert outcome(owner, text) == want, text
+
+    def test_member_of_uncovered_coset(self):
+        # a loadable key pair whose order-3 factor has R[2] in R[1]'s coset:
+        # the old R[2] is a member that decrypts to no coset, and both
+        # readers say so with decrypt_cyclic's NotInImage
+        pk, sk = keygen_general(sym(3), 16, random.Random(33))
+        i = next(i for i, f in enumerate(pk.family.factors, start=1) if f.m == 3)
+        fpk = pk.family.public(i)
+        r = fpk.transversal
+        moved = (r[0], r[1], r[1] * pow(5, 3, fpk.n) % fpk.n)
+        bad_pk = parse_general_pk(tampered_pk_text(pk, {i: {"transversal": moved}}))
+        bad_sk = parse_general_sk(format_general_sk(sk), bad_pk)
+        public, owner = self.readers(bad_pk, bad_sk)
+        for text in (f"{i}:{r[2]}", f"# c\n{i}:{r[2]}\n"):
+            want = outcome(public, text)
+            assert want == (cyclic.NotInImage, f"{r[2]} lies in no transversal coset")
+            assert outcome(owner, text) == want, text
 
 
 class TestInverseP:
