@@ -41,7 +41,11 @@ over non-kernel letters and preimage letters, built from the empty word by
 conjugated insertions.  ``p_phi`` evaluates witnesses, ``inverse_p_phi``
 reconstructs a witness for any kernel word using an inversion oracle for
 the factors (the rotation recursion), and ``p_psi``/``combined_P``
-complete the proof system used by the general cryptosystem.
+complete the proof system used by the general cryptosystem.  Encryption
+builds no witness object: ``general.sample_A`` draws the plain tuples the
+witnesses would hold (the phi part from ``_sample_phi``, which
+``random_phi_witness`` wraps), and ``general.encrypt_general`` evaluates
+them in one ``normalize`` pass.
 
 A :class:`FactorFamily` is public data: the calls that need trapdoors
 (``phi_map``, ``trapdoor_oracle``) take the factor secret keys.
@@ -52,6 +56,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import starmap
 from math import gcd
 
 from .errors import Error, FormatError, records
@@ -173,12 +178,14 @@ def normalize(family: FactorFamily,
     Values are reduced mod their factor's modulus, adjacent same-factor
     letters are multiplied in their factor, identity letters are dropped,
     and newly adjacent pairs are re-merged (a stack pass, so the result is
-    independent of merge order).  Every factor index is range-checked;
-    group membership of the values is the caller's to check.
+    independent of merge order).  Every factor index is range-checked, as
+    its item is reached; group membership of the values is the caller's to
+    check.  The stack holds (factor, value) pairs, and each letter of the
+    result is built once, at the end.
     """
     factors = family.factors
     count = len(factors)
-    out: list[GLetter] = []
+    out: list[tuple[int, int]] = []
     for item in letters:
         if isinstance(item, GLetter):
             i, v = item.factor, item.value
@@ -189,13 +196,13 @@ def normalize(family: FactorFamily,
         v %= n
         if v == 1:
             continue
-        if out and out[-1].factor == i:
-            merged = out.pop().value * v % n
+        if out and out[-1][0] == i:
+            merged = out.pop()[1] * v % n
             if merged != 1:
-                out.append(GLetter(i, merged))
+                out.append((i, merged))
         else:
-            out.append(GLetter(i, v))
-    return GWord(family, tuple(out))
+            out.append((i, v))
+    return GWord(family, tuple(starmap(GLetter, out)))
 
 
 def _require_same_family(u: GWord, v: GWord) -> None:
@@ -380,12 +387,13 @@ class PsiWitness:
         return len(self.letters)
 
 
-def _phi_letters(factors: tuple[CyclicPublicKey, ...], witness: PhiWitness
-                 ) -> list[tuple[int, int]]:
-    """The raw letters ``p_phi`` normalizes, unchecked: each preimage letter
-    raised to its factor order, each plain letter as it is."""
-    return [(l.factor, pow(l.value, (pk := factors[l.factor - 1]).m, pk.n)
-             if l.is_a0 else l.value) for l in witness.letters]
+def _phi_letters(factors: tuple[CyclicPublicKey, ...],
+                 triples: Iterable[tuple[int, int, bool]]) -> list[tuple[int, int]]:
+    """The raw letters ``p_phi`` normalizes, unchecked, of (factor, value,
+    is_a0) triples: each preimage letter raised to its factor order, each
+    plain letter as it is."""
+    return [(i, pow(v, (pk := factors[i - 1]).m, pk.n) if a0 else v)
+            for i, v, a0 in triples]
 
 
 def p_phi(family: FactorFamily, witness: PhiWitness) -> GWord:
@@ -406,43 +414,54 @@ def p_phi(family: FactorFamily, witness: PhiWitness) -> GWord:
             _check_letter(pk, i, v)
         elif gcd(v, pk.n) != 1:
             raise LetterOutOfGroup(f"{v} is not a unit modulo {pk.n} (factor {i})")
-    return normalize(family, _phi_letters(family.factors, witness))
+    return normalize(family, _phi_letters(
+        family.factors, [(l.factor, l.value, l.is_a0) for l in witness.letters]))
 
 
-def random_nonkernel_value(family: FactorFamily, i: int, rng: random.Random) -> int:
-    """Public sampling of a factor element outside the kernel: a random
-    m-th power times a non-identity transversal representative."""
-    pk = family.public(i)
+def random_nonkernel_value(pk: CyclicPublicKey, rng: random.Random) -> int:
+    """Public sampling of an element of factor group ``pk`` outside the
+    kernel: a random m-th power times a non-identity transversal
+    representative."""
     e = rng.randrange(1, pk.m)
     s = random_unit(pk.n, rng)
     return pow(s, pk.m, pk.n) * pk.transversal[e] % pk.n
+
+
+def _sample_phi(factors: tuple[CyclicPublicKey, ...], steps: int,
+                rng: random.Random) -> tuple[tuple[int, int, bool], ...]:
+    """The letters of ``random_phi_witness`` as (factor, value, is_a0)
+    triples, in one pass linear in ``steps``: the letters each step puts
+    before the old word are collected in reverse, those after it in order.
+    x is a unit by construction, so x^-1 is ``pow(x, -1, n)``.
+    """
+    count = len(factors)
+    randrange = rng.randrange
+    front: list[tuple[int, int, bool]] = []  # reversed
+    back: list[tuple[int, int, bool]] = []
+    for _ in range(steps):
+        x0_choice = randrange(count + 1)  # 0 = skip
+        x_choice = randrange(count + 1)
+        if x0_choice:
+            front.append((x0_choice, random_unit(factors[x0_choice - 1].n, rng), True))
+        if x_choice:
+            v = random_nonkernel_value(pk := factors[x_choice - 1], rng)
+            front.append((x_choice, pow(v, -1, pk.n), False))
+            back.append((x_choice, v, False))
+    return (*reversed(front), *back)
 
 
 def random_phi_witness(family: FactorFamily, steps: int, rng: random.Random) -> PhiWitness:
     """Grow a witness by ``steps`` random conjugated insertions.
 
     Each step turns w into x^-1 x0 w x where x is a random non-kernel
-    letter (or skipped) and x0 a random preimage letter (or skipped).
+    letter (or skipped) and x0 a random preimage letter (or skipped).  The
+    letters come from ``_sample_phi``, one pass linear in ``steps``; equal
+    rng states give equal witnesses and leave the rng in equal states.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    n = family.count
-    letters: list[PhiLetter] = []
-    for _ in range(steps):
-        x0_choice = rng.randrange(n + 1)  # 0 = skip
-        x_choice = rng.randrange(n + 1)
-        mid: list[PhiLetter] = []
-        if x0_choice:
-            a = random_unit(family.modulus(x0_choice), rng)
-            mid.append(PhiLetter(x0_choice, a, True))
-        if x_choice:
-            v = random_nonkernel_value(family, x_choice, rng)
-            v_inv = mod_inverse(v, family.modulus(x_choice))
-            letters = ([PhiLetter(x_choice, v_inv, False)] + mid + letters
-                       + [PhiLetter(x_choice, v, False)])
-        else:
-            letters = mid + letters
-    return PhiWitness(tuple(letters), steps)
+    return PhiWitness(tuple(PhiLetter(*t) for t in _sample_phi(family.factors, steps, rng)),
+                      steps)
 
 
 def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]

@@ -37,6 +37,7 @@ from .freeprod import (
     _outside_group,
     _phi_letters,
     _psi_letters,
+    _sample_phi,
     g_inverse,
     g_multiply,
     inverse_p_phi,
@@ -45,7 +46,6 @@ from .freeprod import (
     p_psi,
     phi_map,
     psi_map,
-    random_phi_witness,
     format_gword,
     trapdoor_oracle,
 )
@@ -183,27 +183,35 @@ def _randomization(pk: GeneralPublicKey, phi_steps: int | None,
 
 
 def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
-             phi_steps: int | None = None,
-             psi_length: int | None = None) -> tuple[PhiWitness, PsiWitness]:
-    """Sample a random kernel proof pair (a, b).
+             phi_steps: int | None = None, psi_length: int | None = None
+             ) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple[int, int], ...]]:
+    """Sample a random kernel proof pair (a, b), as the plain tuples of the
+    letters of its two witnesses.
 
-    ``a`` grows by ``phi_steps`` conjugated insertions (default 2|H|).
-    ``b`` is a random transversal word of ``psi_length`` letters (default
-    |H|) closed off with the shortest word of the inverse of its running
-    image, so the evaluated pair always maps to the identity of H.
+    ``a`` holds (factor, value, is_a0) triples, the letters of a
+    ``PhiWitness`` grown by ``phi_steps`` conjugated insertions (default
+    2|H|; ``freeprod.random_phi_witness`` wraps the same draws).  ``b``
+    holds (factor, index) syllables, the letters of a ``PsiWitness``:
+    ``psi_length`` random transversal letters (default |H|) closed off
+    with the shortest word of the inverse of their running image in H, so
+    the evaluated pair always maps to the identity of H.
     """
     H = pk.group
     steps, length = _randomization(pk, phi_steps, psi_length)
-    a = random_phi_witness(pk.family, steps, rng)
-    letters: list[PsiLetter] = []
+    factors = pk.family.factors
+    a = _sample_phi(factors, steps, rng)
+    randrange, table, generators = rng.randrange, H.table, pk.generators
+    count = len(factors)
+    syllables: list[tuple[int, int]] = []
     acc = H.identity
     for _ in range(length):
-        i = rng.randrange(1, pk.family.count + 1)
-        e = rng.randrange(pk.family.order(i))
-        letters.append(PsiLetter(i, e))
-        acc = H.mul(acc, H.power(pk.generators[i - 1], e))
-    letters.extend(PsiLetter(i, e) for i, e in pk.coordinates[H.inverse(acc)])
-    return a, PsiWitness(tuple(letters))
+        i = randrange(1, count + 1)
+        e = randrange(factors[i - 1].m)
+        syllables.append((i, e))
+        g = generators[i - 1]
+        for _ in range(e):
+            acc = table[acc][g]
+    return a, (*syllables, *pk.coordinates[H.inverse(acc)])
 
 
 def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *,
@@ -213,7 +221,9 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
     representative.
 
     ``phi_steps`` / ``psi_length`` tune the randomization size; zero for
-    both gives the bare representative (useful only in tests).
+    both gives the bare representative (useful only in tests).  With
+    several factors, ``sample_A``'s tuples and the representative's
+    syllables are evaluated into one ``normalize`` pass, unchecked.
     """
     if h.group is not pk.group:
         raise ValueError("plaintext element belongs to a different group")
@@ -229,13 +239,12 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
         for _, e in pk.coordinates[h.index]:  # no syllable for the identity
             value = value * fpk.transversal[e] % fpk.n
         return GeneralCiphertext(normalize(pk.family, [(1, value)]))
-    # combined_P(wa, wb) times the representative in one normalize pass (the
-    # same word: normal forms are unique); no self-sampled letter is checked
-    wa, wb = sample_A(pk, rng, phi_steps=phi_steps, psi_length=psi_length)
+    # combined_P of the pair times the representative: the same word, since
+    # normal forms are unique; the sampled letters are members by construction
+    a, b = sample_A(pk, rng, phi_steps=phi_steps, psi_length=psi_length)
     factors = pk.family.factors
-    syllables = [(l.factor, l.index) for l in wb.letters] + list(pk.coordinates[h.index])
-    return GeneralCiphertext(normalize(pk.family, _phi_letters(factors, wa)
-                                       + _psi_letters(factors, syllables)))
+    return GeneralCiphertext(normalize(pk.family, _phi_letters(factors, a)
+                                       + _psi_letters(factors, b + pk.coordinates[h.index])))
 
 
 def decrypt_general(sk: GeneralSecretKey, pk: GeneralPublicKey,

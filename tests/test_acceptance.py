@@ -301,7 +301,7 @@ def test_07_kernel_witness_contract(family_for_words):
         w = random_phi_witness(family, rng.randrange(4), rng)
         i = rng.randrange(1, family.count + 1)
         bad = g_multiply(p_phi(family, w), normalize(
-            family, [(i, random_nonkernel_value(family, i, rng))]))
+            family, [(i, random_nonkernel_value(family.public(i), rng))]))
         a, t = inverse_p_phi(bad, trapdoor_oracle(family, secrets, rng))
         assert not t.is_identity
     report(7, "kernel witness contract",

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from ghcrypt.cyclic import OracleFailure, is_mth_power
+from ghcrypt.cyclic import OracleFailure, is_mth_power, random_unit
 from ghcrypt.errors import FormatError
 from ghcrypt.freeprod import (
+    FactorFamily,
     GLetter,
     GWord,
     KWord,
@@ -34,6 +35,7 @@ from ghcrypt.freeprod import (
 )
 from ghcrypt.freeprod import _join
 from ghcrypt.groupcore import cyclic_group, sym
+from ghcrypt.numtheory import mod_inverse
 
 
 def fixpoint_normalize(family, letters):
@@ -101,6 +103,42 @@ class TestNormalize:
             assert normalize(small_family, w.letters).letters == w.letters
             assert fixpoint_normalize(small_family, raw) == w.letters
 
+    def test_mixed_items_and_cascades(self, small_family):
+        # GLetters and pairs in one input; appending part of a word's
+        # inverse cancels it letter by letter, from the seam outwards
+        rng = random.Random(17)
+        cascades = 0
+        for _ in range(500):
+            raw = random_raw_word(small_family, rng)
+            if rng.random() < 0.5:
+                inverse = [(i, mod_inverse(v, small_family.modulus(i)))
+                           for i, v in reversed(raw)]
+                raw += inverse[:rng.randrange(len(inverse) + 1)]
+                raw += random_raw_word(small_family, rng, 3)
+            mixed = [GLetter(*l) if rng.random() < 0.5 else l for l in raw]
+            w = normalize(small_family, mixed)
+            assert w.letters == fixpoint_normalize(small_family, mixed)
+            cascades += len(raw) - len(w) >= 6
+        assert cascades > 50
+
+    @pytest.mark.parametrize("bad", [0, 3, -1])
+    def test_bad_factor_raises_at_its_item(self, small_family, bad):
+        rng = random.Random(19)
+        for trial in range(50):
+            raw = random_raw_word(small_family, rng)
+            pos = rng.randrange(len(raw) + 1)
+            raw.insert(pos, GLetter(bad, 2) if trial % 2 else (bad, 2))
+            consumed = []
+
+            def items():
+                for item in raw:
+                    consumed.append(item)
+                    yield item
+
+            with pytest.raises(ValueError):
+                normalize(small_family, items())
+            assert len(consumed) == pos + 1
+
     def test_subword_criterion(self, small_family):
         # inserting cancelling alien pairs does not change the one-factor
         # collapse: the normal form equals that of the factor subsequence
@@ -112,7 +150,6 @@ class TestNormalize:
             for _ in range(rng.randrange(3)):
                 pos = rng.randrange(len(word) + 1)
                 v = rng.choice([4, 6, 9, 15])
-                from ghcrypt.numtheory import mod_inverse
                 word[pos:pos] = [(2, v), (2, mod_inverse(v, 77))]
             w = normalize(small_family, word)
             assert w == normalize(small_family, base)
@@ -399,9 +436,55 @@ class TestRandomWitness:
     def test_nonkernel_values_are_nonkernel(self, small_family, small_secrets, rng):
         for i in (1, 2):
             for _ in range(50):
-                v = random_nonkernel_value(small_family, i, rng)
+                v = random_nonkernel_value(small_family.public(i), rng)
                 w = normalize(small_family, [(i, v)])
                 assert not phi_map(w, small_secrets).is_identity
+
+
+def quadratic_phi_witness(family, steps, rng):
+    """Reference: the witness builder as it was, rebuilding the whole list
+    at every step, with the same draws in the same order."""
+    letters = []
+    for _ in range(steps):
+        x0_choice = rng.randrange(family.count + 1)  # 0 = skip
+        x_choice = rng.randrange(family.count + 1)
+        mid = []
+        if x0_choice:
+            mid.append(PhiLetter(x0_choice, random_unit(family.modulus(x0_choice), rng), True))
+        if x_choice:
+            v = random_nonkernel_value(family.public(x_choice), rng)
+            v_inv = mod_inverse(v, family.modulus(x_choice))
+            letters = ([PhiLetter(x_choice, v_inv, False)] + mid + letters
+                       + [PhiLetter(x_choice, v, False)])
+        else:
+            letters = mid + letters
+    return PhiWitness(tuple(letters), steps)
+
+
+class TestLinearWitnessBuild:
+    """The one-pass builder gives the witness of the quadratic one for the
+    same rng, and leaves the rng at the same place."""
+
+    @pytest.fixture(params=["one factor", "two factors"])
+    def family(self, request, small_family):
+        if request.param == "one factor":
+            return FactorFamily(small_family.factors[:1])
+        return small_family
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_steps_0_to_64(self, family, seed):
+        for steps in range(65):
+            got_rng = random.Random(f"{seed}:{steps}")
+            want_rng = random.Random(f"{seed}:{steps}")
+            got = random_phi_witness(family, steps, got_rng)
+            assert got == quadratic_phi_witness(family, steps, want_rng), steps
+            assert got_rng.random() == want_rng.random(), steps
+
+    def test_1000_steps(self, family):
+        got_rng, want_rng = random.Random(1000), random.Random(1000)
+        got = random_phi_witness(family, 1000, got_rng)
+        assert got == quadratic_phi_witness(family, 1000, want_rng)
+        assert got_rng.random() == want_rng.random()
 
 
 class CountingOracle:
@@ -448,7 +531,7 @@ class TestInversePPhi:
             g = p_phi(small_family, w)
             i = rng.randrange(1, small_family.count + 1)
             bad = g_multiply(g, normalize(
-                small_family, [(i, random_nonkernel_value(small_family, i, rng))]))
+                small_family, [(i, random_nonkernel_value(small_family.public(i), rng))]))
             a, t = inverse_p_phi(bad, trapdoor_oracle(small_family, small_secrets, rng))
             assert not t.is_identity
             assert len(a) == 0

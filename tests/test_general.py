@@ -9,8 +9,9 @@ import pytest
 
 from ghcrypt import cyclic, groupcore
 from ghcrypt.errors import Error, FormatError
-from ghcrypt.freeprod import (FactorFamily, combined_P, format_gword, g_multiply,
-                               parse_gword, phi_map, psi_map)
+from ghcrypt.freeprod import (FactorFamily, PhiLetter, PhiWitness, PsiLetter, PsiWitness,
+                               combined_P, format_gword, g_multiply, parse_gword, phi_map,
+                               psi_map, random_phi_witness)
 from ghcrypt.general import (
     GeneralCiphertext,
     GeneralPublicKey,
@@ -43,6 +44,14 @@ def tampered_pk_text(pk, changes):
         factors[i - 1] = dataclasses.replace(factors[i - 1], **fields)
     bad = GeneralPublicKey(pk.group, pk.generators, FactorFamily(tuple(factors)))
     return format_general_pk(bad)
+
+
+def witnesses(pair, steps):
+    """``sample_A``'s tuples as the witnesses ``combined_P`` takes; the phi
+    witness grew by ``steps`` insertions."""
+    a, b = pair
+    return (PhiWitness(tuple(PhiLetter(*t) for t in a), steps),
+            PsiWitness(tuple(PsiLetter(*s) for s in b)))
 
 
 def jacobi_minus_one(n):
@@ -203,10 +212,18 @@ class TestSampleA:
             fam = pk.family
             rng = random.Random(4)
             for _ in range(40):
-                a, b = sample_A(pk, rng, phi_steps=3, psi_length=2)
+                a, b = witnesses(sample_A(pk, rng, phi_steps=3, psi_length=2), 3)
                 word = combined_P(fam, a, b)
                 k = phi_map(word, sk.factors, pk.generators)
                 assert psi_map(k, pk.group).index == 0
+
+    def test_phi_part_is_random_phi_witness(self, sym3_keys):
+        # the same draws: the triples are the letters random_phi_witness wraps
+        pk, _ = sym3_keys
+        for seed in range(20):
+            a, _ = sample_A(pk, random.Random(seed), phi_steps=seed, psi_length=0)
+            w = random_phi_witness(pk.family, seed, random.Random(seed))
+            assert a == tuple((l.factor, l.value, l.is_a0) for l in w.letters)
 
 
 class TestOnePassEncrypt:
@@ -224,11 +241,15 @@ class TestOnePassEncrypt:
             for s, (steps, length) in enumerate(self.SIZES):
                 sizes = {"phi_steps": steps, "psi_length": length}
                 seed = 10 * h.index + s
-                got = encrypt_general(pk, h, random.Random(seed), **sizes)
-                a, b = sample_A(pk, random.Random(seed), **sizes)
+                encrypt_rng, sample_rng = random.Random(seed), random.Random(seed)
+                got = encrypt_general(pk, h, encrypt_rng, **sizes)
+                a, b = witnesses(sample_A(pk, sample_rng, **sizes),
+                                 2 * pk.group.order if steps is None else steps)
                 want = g_multiply(combined_P(pk.family, a, b),
                                   pk.transversal_word(h.index))
                 assert got.word == want, (k, h.index, sizes)
+                # encryption draws exactly sample_A's numbers
+                assert encrypt_rng.random() == sample_rng.random(), (k, h.index, sizes)
 
 
 class TestWorkCounts:
