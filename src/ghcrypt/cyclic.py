@@ -26,7 +26,13 @@ characters of the transversal depend only on the key pair, so a caller
 decrypting many letters under one key passes one list that keeps them
 (``decrypt_cyclic``'s ``characters``); each letter then costs one power
 mod p, plus one Jacobi symbol mod q for even m, and the transversal
-characters are computed once per list.
+characters are computed once per list; ``freeprod._coset_run`` is the
+caller that keeps such a list.  Key generation checks its transversal
+with the same characters but without decrypting: the m characters of
+R[0..m-1] must be distinct, one power mod p each.  Every entry lies in
+G(n, m), so for even m equal characters mod p force equal Legendre
+symbols mod q, and distinct characters hold exactly when each R[i]
+decrypts to i.
 The inverses R[i]^-1 are computed once per public key
 (``inverse_transversal``, by batch inversion): the secret-key parsers
 (``parse_cyclic_sk`` here, ``general.parse_general_sk`` for each factor)
@@ -327,8 +333,14 @@ def keygen_cyclic(m: int, bits: int, rng: random.Random, *,
 
     Draws p = 1 (mod m) and q = -1 (mod m) from [2^bits, 2^(bits+1)], picks
     a base h = (h_p, h_q) whose powers represent all m cosets, and publishes
-    the transversal {h^i * s_i^m} for fresh random units s_i.  ``primes``
-    forces the pair (p, q) in place of the draw; the rest stays random.
+    the transversal {h^i * s_i^m} for fresh random units s_i, h^i by a
+    running product.  ``primes`` forces the pair (p, q) in place of the
+    draw; the rest stays random.
+
+    Self-check: the characters (R[i] * R[0]^-1)^((p-1)/m) mod p of the m
+    entries, ``decrypt_cyclic``'s formula at one power mod p each, must
+    be distinct, else Error; that holds exactly when each R[i] decrypts
+    to i (see the module docstring).
     """
     if m < 2:
         raise BadOrder("plaintext order must be at least 2")
@@ -347,13 +359,17 @@ def keygen_cyclic(m: int, bits: int, rng: random.Random, *,
     sk = CyclicSecretKey.from_primes(p, q, m)
     n = p * q
     h = _admissible_base(m, p, q, rng)
-    pk = CyclicPublicKey(m=m, n=n, transversal=tuple(
-        pow(h, i, n) * pow(random_unit(n, rng), m, n) % n for i in range(m)))
-    characters: list[int] = []
-    for i in range(m):  # self-check: coset of R[i] is exactly i
-        if decrypt_cyclic(sk, pk, CyclicCiphertext(pk.transversal[i]), characters) != i:
-            raise Error("internal keygen failure: bad transversal")
-    return pk, sk
+    transversal = []
+    h_i = 1  # h^i mod n
+    for _ in range(m):
+        transversal.append(h_i * pow(random_unit(n, rng), m, n) % n)
+        h_i = h_i * h % n
+    # self-check: the m characters are distinct, so R[i] decrypts to i
+    r0_inv = mod_inverse(transversal[0], n)
+    characters = {pow(r * r0_inv % p, sk.exp_p, p) for r in transversal}
+    if len(characters) != m:
+        raise Error("internal keygen failure: bad transversal")
+    return CyclicPublicKey(m=m, n=n, transversal=tuple(transversal)), sk
 
 
 # ---------------------------------------------------------------------------

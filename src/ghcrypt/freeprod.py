@@ -56,8 +56,8 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import starmap
 from math import gcd
+from typing import NamedTuple
 
 from .errors import Error, FormatError, records
 from .groupcore import FiniteGroup, GroupElement
@@ -107,8 +107,7 @@ class LetterOutOfGroup(Error):
     """A letter value is not a member of its factor group."""
 
 
-@dataclass(frozen=True)
-class GLetter:
+class GLetter(NamedTuple):
     factor: int  # 1-based factor index
     value: int   # residue mod n_factor, never 1
 
@@ -180,17 +179,14 @@ def normalize(family: FactorFamily,
     and newly adjacent pairs are re-merged (a stack pass, so the result is
     independent of merge order).  Every factor index is range-checked, as
     its item is reached; group membership of the values is the caller's to
-    check.  The stack holds (factor, value) pairs, and each letter of the
+    check.  A letter unpacks like a (factor, value) pair, so both kinds of
+    item are read alike; the stack holds pairs, and each letter of the
     result is built once, at the end.
     """
     factors = family.factors
     count = len(factors)
     out: list[tuple[int, int]] = []
-    for item in letters:
-        if isinstance(item, GLetter):
-            i, v = item.factor, item.value
-        else:
-            i, v = item
+    for i, v in letters:
         pk = factors[i - 1] if 0 < i <= count else family.public(i)  # raises
         n = pk.n
         v %= n
@@ -202,7 +198,7 @@ def normalize(family: FactorFamily,
                 out.append((i, merged))
         else:
             out.append((i, v))
-    return GWord(family, tuple(starmap(GLetter, out)))
+    return GWord(family, tuple(map(GLetter._make, out)))
 
 
 def _require_same_family(u: GWord, v: GWord) -> None:

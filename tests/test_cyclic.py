@@ -297,7 +297,17 @@ class TestDecryptScan:
         monkeypatch.setattr(cyclic, "pow", counting_pow, raising=False)
         m = 64
         keygen_cyclic(m, 16, random.Random(64))
-        assert calls[0] < 8 * m
+        assert calls[0] < 4 * m
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 64])
+    def test_keygen_self_check_rejects_a_transversal_in_one_coset(self, monkeypatch, m):
+        from ghcrypt import cyclic
+        from ghcrypt.errors import Error
+
+        # base 1 puts every R[i] = s_i^m in the coset of the m-th powers
+        monkeypatch.setattr(cyclic, "_admissible_base", lambda m, p, q, rng: 1)
+        with pytest.raises(Error, match="internal keygen failure: bad transversal"):
+            keygen_cyclic(m, 16, random.Random(m))
 
     def test_inverse_transversal(self):
         pk, _ = keygen_cyclic(6, 10, random.Random(77))

@@ -121,6 +121,18 @@ class TestNormalize:
             cascades += len(raw) - len(w) >= 6
         assert cascades > 50
 
+    def test_word_operations_return_gletters(self, small_family):
+        # a GLetter equals the pair it holds, so equality alone would not
+        # notice a word of plain tuples
+        rng = random.Random(23)
+        for _ in range(200):
+            u = normalize(small_family, random_raw_word(small_family, rng))
+            v = normalize(small_family, random_raw_word(small_family, rng))
+            uv = g_multiply(u, v)
+            for w in (u, uv, g_multiply(uv, g_inverse(v)), g_inverse(u),
+                      parse_gword(format_gword(u), small_family)):
+                assert all(type(l) is GLetter for l in w.letters)
+
     @pytest.mark.parametrize("bad", [0, 3, -1])
     def test_bad_factor_raises_at_its_item(self, small_family, bad):
         rng = random.Random(19)

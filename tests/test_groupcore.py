@@ -406,8 +406,13 @@ class TestBuiltinsAndFiles:
         assert builtin_group("z720").order == 720
 
     def test_format_parse_roundtrip(self):
-        for G in (sym(3), cyclic_group(5)):
+        labelled = FiniteGroup(sym(3).table, labels=["e", "r", "r2", "s", "sr", "sr2"])
+        for G in (sym(3), cyclic_group(5), sym(5), cyclic_group(64), labelled):
             text = format_group(G)
+            # each entry spelled as str() spells it
+            rows = [" ".join(str(x) for x in row) for row in G.table]
+            assert text == "\n".join(
+                [f"GROUP v1 {G.order}", *rows, "LABELS", *G.labels]) + "\n"
             back = parse_group(text)
             assert back.table == G.table
             assert back.labels == G.labels
