@@ -27,18 +27,19 @@ decrypting many letters under one key passes one list that keeps them
 (``decrypt_cyclic``'s ``characters``); each letter then costs one power
 mod p, plus one Jacobi symbol mod q for even m, and the transversal
 characters are computed once per list; ``freeprod._coset_run`` is the
-caller that keeps such a list.  Key generation checks its transversal
-with the same characters but without decrypting: the m characters of
-R[0..m-1] must be distinct, one power mod p each.  Every entry lies in
-G(n, m), so for even m equal characters mod p force equal Legendre
-symbols mod q, and distinct characters hold exactly when each R[i]
-decrypts to i.
-The inverses R[i]^-1 are computed once per public key
-(``inverse_transversal``, by batch inversion): the secret-key parsers
+caller that keeps such a list.  Key generation and the secret-key parsers
 (``parse_cyclic_sk`` here, ``general.parse_general_sk`` for each factor)
-fill them when the key loads, so the key owner's decryptions find them
-ready; other keys fill them on first use.  The m-th roots of unity that
-randomize ``inverse_P_cyclic`` are computed with the secret key
+check the transversal with the same characters but without decrypting:
+the m characters of R[0..m-1] (``transversal_characters``) must be
+distinct, one power mod p each.  Every entry lies in G(n, m), so for
+even m equal characters mod p force equal Legendre symbols mod q, and
+distinct characters hold exactly when each R[i] decrypts to i; the public
+key alone cannot tell.
+The inverses R[i]^-1 are computed once per public key
+(``inverse_transversal``, by batch inversion): the characters need
+R[0]^-1, so a key pair that loads has them ready for the key owner's
+decryptions; other keys fill them on first use.  The m-th roots of unity
+that randomize ``inverse_P_cyclic`` are computed with the secret key
 (``CyclicSecretKey.from_primes``), so every root extraction finds them.
 """
 
@@ -75,6 +76,7 @@ __all__ = [
     "in_group_G",
     "encrypt_cyclic",
     "decrypt_cyclic",
+    "transversal_characters",
     "is_mth_power",
     "inverse_P_cyclic",
     "mult_ciphertexts",
@@ -265,6 +267,14 @@ def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext
     raise NotInImage(f"{c.value} lies in no transversal coset")
 
 
+def transversal_characters(sk: CyclicSecretKey, pk: CyclicPublicKey) -> list[int]:
+    """The characters (R[i] * R[0]^-1)^((p-1)/m) mod p of the m transversal
+    entries, ``decrypt_cyclic``'s chi at one power mod p each.  They are
+    distinct exactly when each R[i] decrypts to i."""
+    p, r0_inv = sk.p, pk.inverse_transversal[0]
+    return [pow(r * r0_inv % p, sk.exp_p, p) for r in pk.transversal]
+
+
 def mult_ciphertexts(pk: CyclicPublicKey, c1: CyclicCiphertext, c2: CyclicCiphertext) -> CyclicCiphertext:
     """Homomorphic combination: decrypts to the sum of plaintexts mod m."""
     return CyclicCiphertext(c1.value * c2.value % pk.n)
@@ -337,10 +347,9 @@ def keygen_cyclic(m: int, bits: int, rng: random.Random, *,
     running product.  ``primes`` forces the pair (p, q) in place of the
     draw; the rest stays random.
 
-    Self-check: the characters (R[i] * R[0]^-1)^((p-1)/m) mod p of the m
-    entries, ``decrypt_cyclic``'s formula at one power mod p each, must
-    be distinct, else Error; that holds exactly when each R[i] decrypts
-    to i (see the module docstring).
+    Self-check: the ``transversal_characters`` of the m entries must be
+    distinct, else Error; that holds exactly when each R[i] decrypts to i
+    (see the module docstring).
     """
     if m < 2:
         raise BadOrder("plaintext order must be at least 2")
@@ -364,12 +373,10 @@ def keygen_cyclic(m: int, bits: int, rng: random.Random, *,
     for _ in range(m):
         transversal.append(h_i * pow(random_unit(n, rng), m, n) % n)
         h_i = h_i * h % n
-    # self-check: the m characters are distinct, so R[i] decrypts to i
-    r0_inv = mod_inverse(transversal[0], n)
-    characters = {pow(r * r0_inv % p, sk.exp_p, p) for r in transversal}
-    if len(characters) != m:
+    pk = CyclicPublicKey(m=m, n=n, transversal=tuple(transversal))
+    if len(set(transversal_characters(sk, pk))) != m:
         raise Error("internal keygen failure: bad transversal")
-    return CyclicPublicKey(m=m, n=n, transversal=tuple(transversal)), sk
+    return pk, sk
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +486,9 @@ def format_cyclic_sk(sk: CyclicSecretKey) -> str:
 
 
 def parse_cyclic_sk(text: str, pk: CyclicPublicKey) -> CyclicSecretKey:
-    """Parse the secret key of ``pk``; FormatError unless p*q = n and the
-    primes fit the plaintext order m."""
+    """Parse the secret key of ``pk``; FormatError unless p*q = n, the
+    primes fit the plaintext order m and the transversal entries lie in m
+    distinct cosets (``transversal_characters``)."""
     fields = _parse_fields(text, "GHC-CYCLIC-SK v1", ["p", "q"])
     p, q = ints([fields["p"], fields["q"]], "key field")
     try:
@@ -489,5 +497,6 @@ def parse_cyclic_sk(text: str, pk: CyclicPublicKey) -> CyclicSecretKey:
         raise FormatError(str(exc)) from None
     if p * q != pk.n:
         raise FormatError("secret key does not match the public modulus")
-    pk.inverse_transversal  # the key owner's decryptions find it filled
+    if len(set(transversal_characters(sk, pk))) != pk.m:
+        raise FormatError("two transversal entries lie in one coset")
     return sk

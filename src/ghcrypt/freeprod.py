@@ -38,14 +38,15 @@ Two epimorphisms are implemented on top of the words:
 
 Membership of a word in the kernel of ``phi`` carries a *witness*: a word
 over non-kernel letters and preimage letters, built from the empty word by
-conjugated insertions.  ``p_phi`` evaluates witnesses, ``inverse_p_phi``
-reconstructs a witness for any kernel word using an inversion oracle for
-the factors (the rotation recursion), and ``p_psi``/``combined_P``
-complete the proof system used by the general cryptosystem.  Encryption
-builds no witness object: ``general.sample_A`` draws the plain tuples the
-witnesses would hold (the phi part from ``_sample_phi``, which
-``random_phi_witness`` wraps), and ``general.encrypt_general`` evaluates
-them in one ``normalize`` pass.
+conjugated insertions.  A phi witness is a tuple of (factor, value, is_a0)
+triples, is_a0 marking a preimage letter; a psi witness is a tuple of
+(factor, index) syllables, each naming a transversal entry R_i[index].
+``random_phi_witness`` samples phi witnesses, ``p_phi`` evaluates them,
+``inverse_p_phi`` reconstructs one for any kernel word using an inversion
+oracle for the factors (the rotation recursion), and ``p_psi``/``combined_P``
+complete the proof system used by the general cryptosystem.
+``general.sample_A`` draws a pair of the same tuples, and
+``general.encrypt_general`` evaluates it in one ``normalize`` pass.
 
 A :class:`FactorFamily` is public data: the calls that need trapdoors
 (``phi_map``, ``trapdoor_oracle``) take the factor secret keys.
@@ -79,10 +80,6 @@ __all__ = [
     "FactorFamily",
     "GWord",
     "KWord",
-    "PhiLetter",
-    "PhiWitness",
-    "PsiLetter",
-    "PsiWitness",
     "empty_word",
     "normalize",
     "g_multiply",
@@ -130,9 +127,6 @@ class FactorFamily:
         if not 1 <= i <= len(self.factors):
             raise ValueError(f"factor index {i} out of range 1..{len(self.factors)}")
         return self.factors[i - 1]
-
-    def modulus(self, i: int) -> int:
-        return self.public(i).n
 
     def order(self, i: int) -> int:
         return self.public(i).m
@@ -351,38 +345,6 @@ def psi_map(k: KWord, H: FiniteGroup) -> GroupElement:
 # ---------------------------------------------------------------------------
 # kernel witnesses for phi
 
-@dataclass(frozen=True)
-class PhiLetter:
-    factor: int
-    value: int
-    is_a0: bool  # True: preimage letter ]value,factor[; False: plain letter
-
-
-@dataclass(frozen=True)
-class PhiWitness:
-    """Witness word; reachable from the empty word by ``depth`` insertions."""
-
-    letters: tuple[PhiLetter, ...]
-    depth: int
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
-class PsiLetter:
-    factor: int
-    index: int  # index into the factor's transversal
-
-
-@dataclass(frozen=True)
-class PsiWitness:
-    letters: tuple[PsiLetter, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
 def _phi_letters(factors: tuple[CyclicPublicKey, ...],
                  triples: Iterable[tuple[int, int, bool]]) -> list[tuple[int, int]]:
     """The raw letters ``p_phi`` normalizes, unchecked, of (factor, value,
@@ -392,10 +354,12 @@ def _phi_letters(factors: tuple[CyclicPublicKey, ...],
             for i, v, a0 in triples]
 
 
-def p_phi(family: FactorFamily, witness: PhiWitness) -> GWord:
-    """Evaluate a witness: preimage letters are raised to their factor order,
-    plain letters pass through; the result is normalized and lies in the
-    kernel of ``phi_map`` by construction.
+def p_phi(family: FactorFamily,
+          witness: Sequence[tuple[int, int, bool]]) -> GWord:
+    """Evaluate a phi witness, a sequence of (factor, value, is_a0)
+    triples: preimage letters (is_a0 true) are raised to their factor
+    order, plain letters pass through; the result is normalized and lies
+    in the kernel of ``phi_map`` by construction.
 
     Every letter of the caller's witness is checked first.  A preimage
     letter a must be a unit: then a^m lies in the factor group (its Jacobi
@@ -403,15 +367,13 @@ def p_phi(family: FactorFamily, witness: PhiWitness) -> GWord:
     symbol is needed.  A plain letter must be an element of its factor
     group written as a residue (``cyclic.in_group_G``).
     """
-    for letter in witness.letters:
-        i, v = letter.factor, letter.value
+    for i, v, a0 in witness:
         pk = family.public(i)  # range-checks i
-        if not letter.is_a0:
+        if not a0:
             _check_letter(pk, i, v)
         elif gcd(v, pk.n) != 1:
             raise LetterOutOfGroup(f"{v} is not a unit modulo {pk.n} (factor {i})")
-    return normalize(family, _phi_letters(
-        family.factors, [(l.factor, l.value, l.is_a0) for l in witness.letters]))
+    return normalize(family, _phi_letters(family.factors, witness))
 
 
 def random_nonkernel_value(pk: CyclicPublicKey, rng: random.Random) -> int:
@@ -423,13 +385,20 @@ def random_nonkernel_value(pk: CyclicPublicKey, rng: random.Random) -> int:
     return pow(s, pk.m, pk.n) * pk.transversal[e] % pk.n
 
 
-def _sample_phi(factors: tuple[CyclicPublicKey, ...], steps: int,
-                rng: random.Random) -> tuple[tuple[int, int, bool], ...]:
-    """The letters of ``random_phi_witness`` as (factor, value, is_a0)
-    triples, in one pass linear in ``steps``: the letters each step puts
-    before the old word are collected in reverse, those after it in order.
-    x is a unit by construction, so x^-1 is ``pow(x, -1, n)``.
+def random_phi_witness(family: FactorFamily, steps: int, rng: random.Random
+                       ) -> tuple[tuple[int, int, bool], ...]:
+    """Grow a phi witness by ``steps`` random conjugated insertions.
+
+    Each step turns w into x^-1 x0 w x where x is a random non-kernel
+    letter (or skipped) and x0 a random preimage letter (or skipped).  One
+    pass, linear in ``steps``: the letters each step puts before the old
+    word are collected in reverse, those after it in order.  x is a unit
+    by construction, so x^-1 is ``pow(x, -1, n)``.  Equal rng states give
+    equal witnesses and leave the rng in equal states.
     """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    factors = family.factors
     count = len(factors)
     randrange = rng.randrange
     front: list[tuple[int, int, bool]] = []  # reversed
@@ -446,22 +415,8 @@ def _sample_phi(factors: tuple[CyclicPublicKey, ...], steps: int,
     return (*reversed(front), *back)
 
 
-def random_phi_witness(family: FactorFamily, steps: int, rng: random.Random) -> PhiWitness:
-    """Grow a witness by ``steps`` random conjugated insertions.
-
-    Each step turns w into x^-1 x0 w x where x is a random non-kernel
-    letter (or skipped) and x0 a random preimage letter (or skipped).  The
-    letters come from ``_sample_phi``, one pass linear in ``steps``; equal
-    rng states give equal witnesses and leave the rng in equal states.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    return PhiWitness(tuple(PhiLetter(*t) for t in _sample_phi(family.factors, steps, rng)),
-                      steps)
-
-
 def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]
-                  ) -> tuple[PhiWitness, GWord]:
+                  ) -> tuple[tuple[tuple[int, int, bool], ...], GWord]:
     """Invert ``p_phi`` on a word using an inversion oracle.
 
     ``oracle(i, value)`` answers factor-i queries: it returns an m_i-th
@@ -469,10 +424,12 @@ def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]
     otherwise.
 
     Returns a pair (witness, t).  The word is in the kernel of ``phi``
-    exactly when t is the identity, and then the witness evaluates back to
-    the word under ``p_phi``.  Each round scans the current word for its
-    first kernel letter, rotates the remaining letters around it and
-    recurses; the witness is reassembled by conjugation on the way out.
+    exactly when t is the identity, and then the witness, a tuple of
+    (factor, value, is_a0) triples, evaluates back to the word under
+    ``p_phi``; otherwise the witness is empty.  Each round scans the
+    current word for its first kernel letter, rotates the remaining
+    letters around it and recurses; the witness is reassembled by
+    conjugation on the way out.
     The rotation ``letters[idx+1:] + letters[:idx]`` joins two pieces of a
     normal-form word, so it merges only at their seam, like ``g_multiply``:
     a round costs its oracle calls plus one copy of the word.  The
@@ -482,10 +439,7 @@ def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]
     factors = family.factors
     frames: list[tuple[tuple[GLetter, ...], int, int]] = []
     current = g
-    while True:
-        if not current.letters:
-            witness, t = PhiWitness((), 0), empty_word(family)
-            break
+    while current.letters:
         found = None
         for idx, letter in enumerate(current.letters):
             root = oracle(letter.factor, letter.value)
@@ -498,24 +452,18 @@ def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]
                 found = (idx, letter.factor, root % n_i)
                 break
         if found is None:
-            witness, t = PhiWitness((), 0), current
-            break
+            # not a kernel element; the pending frames are discarded
+            return (), current
         idx, factor_j, root_j = found
         frames.append((current.letters[:idx], factor_j, root_j))
         current = GWord(family, _join(factors, current.letters[idx + 1:],
                                       current.letters[:idx]))
-    if not t.is_identity:
-        # not a kernel element; the pending frames are discarded unchanged
-        return witness, t
-    letters = list(witness.letters)
-    depth = witness.depth
+    letters: list[tuple[int, int, bool]] = []
     for prefix, factor_j, root_j in reversed(frames):
-        pre = [PhiLetter(l.factor, l.value, False) for l in prefix]
-        post = [PhiLetter(l.factor, mod_inverse(l.value, factors[l.factor - 1].n), False)
-                for l in reversed(prefix)]
-        letters = pre + [PhiLetter(factor_j, root_j, True)] + letters + post
-        depth += max(len(prefix), 1)
-    return PhiWitness(tuple(letters), depth), empty_word(family)
+        pre = [(i, v, False) for i, v in prefix]
+        post = [(i, mod_inverse(v, factors[i - 1].n), False) for i, v in reversed(prefix)]
+        letters = pre + [(factor_j, root_j, True)] + letters + post
+    return tuple(letters), empty_word(family)
 
 
 def _psi_letters(factors: tuple[CyclicPublicKey, ...],
@@ -524,17 +472,17 @@ def _psi_letters(factors: tuple[CyclicPublicKey, ...],
     return [(i, factors[i - 1].transversal[e]) for i, e in syllables]
 
 
-def p_psi(family: FactorFamily, witness: PsiWitness) -> GWord:
-    """Evaluate a transversal witness to the normalized product of its
-    representatives."""
-    syllables = [(l.factor, l.index) for l in witness.letters]
-    for i, e in syllables:
+def p_psi(family: FactorFamily, witness: Sequence[tuple[int, int]]) -> GWord:
+    """Evaluate a psi witness, a sequence of (factor, index) syllables, to
+    the normalized product of the representatives R_factor[index]."""
+    for i, e in witness:
         if not 0 <= e < family.order(i):  # range-checks i
             raise ValueError(f"transversal index {e} out of range")
-    return normalize(family, _psi_letters(family.factors, syllables))
+    return normalize(family, _psi_letters(family.factors, witness))
 
 
-def combined_P(family: FactorFamily, a: PhiWitness, b: PsiWitness) -> GWord:
+def combined_P(family: FactorFamily, a: Sequence[tuple[int, int, bool]],
+               b: Sequence[tuple[int, int]]) -> GWord:
     """The full proof-system map: P(a, b) = p_phi(a) * p_psi(b)."""
     return g_multiply(p_phi(family, a), p_psi(family, b))
 

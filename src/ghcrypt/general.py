@@ -25,19 +25,16 @@ from .cyclic import (
     in_group_G,
     keygen_cyclic,
     random_unit,
+    transversal_characters,
 )
 from .freeprod import (
     FactorFamily,
     GWord,
-    PhiWitness,
-    PsiLetter,
-    PsiWitness,
     _coset_run,
     _letters,
     _outside_group,
     _phi_letters,
     _psi_letters,
-    _sample_phi,
     g_inverse,
     g_multiply,
     inverse_p_phi,
@@ -47,6 +44,7 @@ from .freeprod import (
     phi_map,
     psi_map,
     format_gword,
+    random_phi_witness,
     trapdoor_oracle,
 )
 
@@ -185,21 +183,20 @@ def _randomization(pk: GeneralPublicKey, phi_steps: int | None,
 def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
              phi_steps: int | None = None, psi_length: int | None = None
              ) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple[int, int], ...]]:
-    """Sample a random kernel proof pair (a, b), as the plain tuples of the
-    letters of its two witnesses.
+    """Sample a random kernel proof pair (a, b), the witnesses ``combined_P``
+    evaluates.
 
-    ``a`` holds (factor, value, is_a0) triples, the letters of a
-    ``PhiWitness`` grown by ``phi_steps`` conjugated insertions (default
-    2|H|; ``freeprod.random_phi_witness`` wraps the same draws).  ``b``
-    holds (factor, index) syllables, the letters of a ``PsiWitness``:
+    ``a`` is the phi witness of ``freeprod.random_phi_witness`` grown by
+    ``phi_steps`` conjugated insertions (default 2|H|), (factor, value,
+    is_a0) triples.  ``b`` is a psi witness of (factor, index) syllables:
     ``psi_length`` random transversal letters (default |H|) closed off
     with the shortest word of the inverse of their running image in H, so
     the evaluated pair always maps to the identity of H.
     """
     H = pk.group
     steps, length = _randomization(pk, phi_steps, psi_length)
+    a = random_phi_witness(pk.family, steps, rng)
     factors = pk.family.factors
-    a = _sample_phi(factors, steps, rng)
     randrange, table, generators = rng.randrange, H.table, pk.generators
     count = len(factors)
     syllables: list[tuple[int, int]] = []
@@ -297,14 +294,17 @@ def mult_ciphertexts_general(pk: GeneralPublicKey, c1: GeneralCiphertext,
 
 
 def inverse_P_general(sk: GeneralSecretKey, pk: GeneralPublicKey, g: GWord,
-                      rng: random.Random) -> tuple[PhiWitness, PsiWitness] | None:
+                      rng: random.Random
+                      ) -> tuple[tuple[tuple[int, int, bool], ...],
+                                 tuple[tuple[int, int], ...]] | None:
     """Produce a kernel proof pair for g, or None when g is not a kernel
     element of the epimorphism onto H.
 
-    On success ``combined_P`` maps the returned pair back to g.
+    On success ``combined_P`` maps the returned pair, the tuples
+    ``sample_A`` draws, back to g.
     """
     _require_key_family(pk, g)
-    r = PsiWitness(())
+    r: tuple[tuple[int, int], ...] = ()
     # psi is injective on one factor, so a word of at most one letter is in
     # the kernel exactly when inverse_p_phi finds a root for its letter
     if len(g) > 1:
@@ -312,8 +312,7 @@ def inverse_P_general(sk: GeneralSecretKey, pk: GeneralPublicKey, g: GWord,
         if psi_map(k, pk.group).index != pk.group.identity:
             return None
         # lift: one transversal letter per run, in its generator's factor
-        r = PsiWitness(tuple(PsiLetter(pk.generators.index(x) + 1, exponent)
-                             for x, exponent, _ in k.runs))
+        r = tuple((pk.generators.index(x) + 1, exponent) for x, exponent, _ in k.runs)
     kernel_part = g_multiply(g, g_inverse(p_psi(pk.family, r)))
     witness, tail = inverse_p_phi(kernel_part, trapdoor_oracle(pk.family, sk.factors, rng))
     if tail.is_identity:
@@ -409,8 +408,8 @@ def parse_general_sk(text: str, pk: GeneralPublicKey) -> GeneralSecretKey:
             raise FormatError(f"factor {fi}: {exc}") from None
         if p * q != fpk.n:
             raise FormatError(f"factor {fi}: secret key does not match its factor")
+        if len(set(transversal_characters(secrets[-1], fpk))) != fpk.m:
+            raise FormatError(f"factor {fi}: two transversal entries lie in one coset")
     if len(secrets) != pk.family.count:
         raise FormatError("secret count does not match factor count")
-    for fpk in pk.family.factors:
-        fpk.inverse_transversal  # the key owner's decryptions find it filled
     return GeneralSecretKey(tuple(secrets))

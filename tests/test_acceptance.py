@@ -209,7 +209,7 @@ def _random_raw(family, rng, max_len=10):
     out = []
     for _ in range(rng.randrange(max_len + 1)):
         i = rng.randrange(1, family.count + 1)
-        n = family.modulus(i)
+        n = family.public(i).n
         while True:
             v = rng.randrange(1, n)
             if gcd(v, n) != 1:
@@ -222,7 +222,7 @@ def _random_raw(family, rng, max_len=10):
 
 
 def _fixpoint_normalize(family, raw):
-    word = [(i, v % family.modulus(i)) for i, v in raw]
+    word = [(i, v % family.public(i).n) for i, v in raw]
     changed = True
     while changed:
         changed = False
@@ -230,7 +230,7 @@ def _fixpoint_normalize(family, raw):
         for k in range(len(word) - 1):
             if word[k][0] == word[k + 1][0]:
                 i = word[k][0]
-                word[k:k + 2] = [(i, word[k][1] * word[k + 1][1] % family.modulus(i))]
+                word[k:k + 2] = [(i, word[k][1] * word[k + 1][1] % family.public(i).n)]
                 changed = True
                 break
     return tuple(GLetter(i, v) for i, v in word if v != 1)

@@ -488,6 +488,17 @@ class TestKeyFiles:
             # primes fit m = 3, but 13 * 5 != 35
             parse_cyclic_sk("GHC-CYCLIC-SK v1\np: 13\nq: 5\n", pk)
 
+    def test_transversal_entries_in_one_coset(self, key35):
+        # R[2] = 17 * 2^3 = 31 (mod 35) lies in R[1]'s coset: the public key
+        # cannot tell, the secret key's characters can; built in memory,
+        # the key pair cannot decrypt the old R[2] = 9
+        pk, sk = key35
+        bad = parse_cyclic_pk("GHC-CYCLIC-PK v1\nm: 3\nn: 35\nR: 1 17 31\n")
+        with pytest.raises(FormatError, match="one coset"):
+            parse_cyclic_sk(format_cyclic_sk(sk), bad)
+        with pytest.raises(NotInImage):
+            decrypt_cyclic(sk, bad, CyclicCiphertext(9))
+
     def test_even_modulus(self):
         # no Jacobi symbol modulo an even n, so no ciphertext group
         with pytest.raises(FormatError):

@@ -13,7 +13,7 @@ from ghcrypt.general import (
     encrypt_general,
     keygen_general,
 )
-from ghcrypt.freeprod import format_gword, parse_gword
+from ghcrypt.freeprod import format_gword, g_inverse, parse_gword
 from ghcrypt.groupcore import sym
 from ghcrypt.encsim import (
     CircuitAlice,
@@ -44,6 +44,23 @@ DATA = Path(__file__).parent / "data"
 
 def fixture(name):
     return parse_circuit((DATA / name).read_text())
+
+
+def longest_run(word, inside):
+    """(length, start) of the longest run of consecutive letters of word
+    that also stands in inside, starting at inside[start]; the earliest
+    start among equals."""
+    where: dict = {}
+    for p, letter in enumerate(inside):
+        where.setdefault(letter, []).append(p)
+    best = (0, 0)
+    for i, letter in enumerate(word):
+        for p in where.get(letter, ()):
+            k = 0
+            while i + k < len(word) and p + k < len(inside) and word[i + k] == inside[p + k]:
+                k += 1
+            best = max(best, (k, -p))
+    return best[0], -best[1]
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +366,40 @@ class TestProtocolInput:
             bob = InputBob(pk, circ, random.Random("r:b"), **SMALL)
             got, _ = protocol_encrypted_input(alice, bob)
             assert got.index == (el * c).index
+
+    def test_alice_reads_bobs_circuit(self):
+        """The protocol hides Alice's inputs from Bob, not Bob's circuit from
+        Alice.  Bob's product keeps the interior letters of each of her
+        words, or of its inverse, so the longest run of each word's letters
+        (or its inverse's) in his result tells her where he multiplied that
+        input in and whether he inverted it."""
+        pk, sk = keygen_general(sym(3), 16, random.Random(61))
+        H = pk.group
+        for order in itertools.permutations(range(3)):
+            for inverted in itertools.product((0, 1), repeat=3):
+                # CONST 4, then acc = acc * y_j or acc * y_j^-1 in order
+                steps, acc = [GInput(0), GInput(1), GInput(2), GConst(4)], 3
+                for j in order:
+                    if inverted[j]:
+                        steps.append(GInv(j))
+                    steps.append(GMul(acc, len(steps) - 1 if inverted[j] else j))
+                    acc = len(steps) - 1
+                circ = GroupCircuit(3, tuple(steps), acc)
+                for seed in range(3):
+                    rng = random.Random(f"audit:{order}:{inverted}:{seed}")
+                    inputs = [H.element(rng.randrange(H.order)) for _ in range(3)]
+                    alice = InputAlice(sk, pk, inputs, rng)
+                    text = alice.inputs_message()
+                    result = parse_gword(
+                        InputBob(pk, circ, rng).evaluation_message(text), pk.family)
+                    found = []
+                    for line in text.splitlines():
+                        word = parse_gword(line, pk.family)
+                        (n0, at0), (n1, at1) = (longest_run(w.letters, result.letters)
+                                                for w in (word, g_inverse(word)))
+                        found.append((at0, 0) if n0 >= n1 else (at1, 1))
+                    assert tuple(sorted(range(3), key=found.__getitem__)) == order
+                    assert tuple(inv for _, inv in found) == inverted
 
 
 class TestEncryptedProgramFiles:

@@ -11,10 +11,6 @@ from ghcrypt.freeprod import (
     GWord,
     KWord,
     LetterOutOfGroup,
-    PhiLetter,
-    PhiWitness,
-    PsiLetter,
-    PsiWitness,
     combined_P,
     empty_word,
     format_gword,
@@ -43,7 +39,7 @@ def fixpoint_normalize(family, letters):
     until nothing changes."""
     word = [(l.factor, l.value) if isinstance(l, GLetter) else tuple(l)
             for l in letters]
-    word = [(i, v % family.modulus(i)) for i, v in word]
+    word = [(i, v % family.public(i).n) for i, v in word]
     changed = True
     while changed:
         changed = False
@@ -51,7 +47,7 @@ def fixpoint_normalize(family, letters):
         for k in range(len(word) - 1):
             (i1, v1), (i2, v2) = word[k], word[k + 1]
             if i1 == i2:
-                word[k:k + 2] = [(i1, v1 * v2 % family.modulus(i1))]
+                word[k:k + 2] = [(i1, v1 * v2 % family.public(i1).n)]
                 changed = True
                 break
     return tuple(GLetter(i, v) for i, v in word if v != 1)
@@ -62,7 +58,7 @@ def random_value(family, i, rng):
     from math import gcd
 
     from ghcrypt.numtheory import jacobi
-    n = family.modulus(i)
+    n = family.public(i).n
     while True:
         v = rng.randrange(1, n)
         if gcd(v, n) == 1 and (family.order(i) % 2 or jacobi(v, n) == 1):
@@ -111,7 +107,7 @@ class TestNormalize:
         for _ in range(500):
             raw = random_raw_word(small_family, rng)
             if rng.random() < 0.5:
-                inverse = [(i, mod_inverse(v, small_family.modulus(i)))
+                inverse = [(i, mod_inverse(v, small_family.public(i).n))
                            for i, v in reversed(raw)]
                 raw += inverse[:rng.randrange(len(inverse) + 1)]
                 raw += random_raw_word(small_family, rng, 3)
@@ -226,7 +222,7 @@ class TestSeamMerge:
                 continue
             k = rng.randrange(1, len(u))
             facing = u.letters[k - 1]
-            n = small_family.modulus(facing.factor)
+            n = small_family.public(facing.factor).n
             x = random_value(small_family, facing.factor, rng)
             while x * facing.value % n == 1:
                 x = random_value(small_family, facing.factor, rng)
@@ -396,38 +392,37 @@ class TestPsi:
 
 class TestPPhi:
     def test_empty(self, small_family):
-        assert p_phi(small_family, PhiWitness((), 0)).is_identity
+        assert p_phi(small_family, ()).is_identity
 
     def test_single_preimage_letter(self, small_family):
-        w = PhiWitness((PhiLetter(1, 2, True),), 1)
+        w = ((1, 2, True),)
         assert p_phi(small_family, w).letters == (GLetter(1, 8),)
 
     def test_conjugated_insertion(self, small_family):
         # x^-1 x0 x with x = [17,1], x0 = ]2,1[: everything is factor 1,
         # so the evaluation collapses to 33 * 8 * 17 = 4488 = 8 (mod 35)
-        w = PhiWitness((PhiLetter(1, 33, False), PhiLetter(1, 2, True),
-                        PhiLetter(1, 17, False)), 1)
+        w = ((1, 33, False), (1, 2, True), (1, 17, False))
         assert p_phi(small_family, w).letters == (GLetter(1, 8),)
 
     def test_non_unit_preimage_letter(self, small_family):
         for factor, value in ((1, 7), (1, 0), (2, 11), (2, -22)):
             with pytest.raises(LetterOutOfGroup):
-                p_phi(small_family, PhiWitness((PhiLetter(factor, value, True),), 1))
+                p_phi(small_family, ((factor, value, True),))
 
     def test_preimage_letter_of_jacobi_minus_one(self, small_family):
         # jacobi(2, 77) = -1, but 2^2 = 4 lies in the order-2 factor group
-        w = PhiWitness((PhiLetter(2, 2, True),), 1)
+        w = ((2, 2, True),)
         assert p_phi(small_family, w).letters == (GLetter(2, 4),)
 
     def test_plain_letter_outside_group(self, small_family):
         for factor, value in ((2, 2), (1, 7), (2, 0)):
             with pytest.raises(LetterOutOfGroup):
-                p_phi(small_family, PhiWitness((PhiLetter(factor, value, False),), 1))
+                p_phi(small_family, ((factor, value, False),))
 
     def test_factor_index_out_of_range(self, small_family):
         for is_a0 in (True, False):
             with pytest.raises(ValueError):
-                p_phi(small_family, PhiWitness((PhiLetter(3, 2, is_a0),), 1))
+                p_phi(small_family, ((3, 2, is_a0),))
 
     def test_witness_lands_in_kernel(self, small_family, small_secrets, rng):
         for _ in range(100):
@@ -438,12 +433,7 @@ class TestPPhi:
 
 class TestRandomWitness:
     def test_zero_steps(self, small_family, rng):
-        w = random_phi_witness(small_family, 0, rng)
-        assert len(w) == 0 and w.depth == 0
-
-    def test_depth_tracks_steps(self, small_family, rng):
-        w = random_phi_witness(small_family, 5, rng)
-        assert w.depth == 5
+        assert random_phi_witness(small_family, 0, rng) == ()
 
     def test_nonkernel_values_are_nonkernel(self, small_family, small_secrets, rng):
         for i in (1, 2):
@@ -462,15 +452,14 @@ def quadratic_phi_witness(family, steps, rng):
         x_choice = rng.randrange(family.count + 1)
         mid = []
         if x0_choice:
-            mid.append(PhiLetter(x0_choice, random_unit(family.modulus(x0_choice), rng), True))
+            mid.append((x0_choice, random_unit(family.public(x0_choice).n, rng), True))
         if x_choice:
             v = random_nonkernel_value(family.public(x_choice), rng)
-            v_inv = mod_inverse(v, family.modulus(x_choice))
-            letters = ([PhiLetter(x_choice, v_inv, False)] + mid + letters
-                       + [PhiLetter(x_choice, v, False)])
+            v_inv = mod_inverse(v, family.public(x_choice).n)
+            letters = [(x_choice, v_inv, False)] + mid + letters + [(x_choice, v, False)]
         else:
             letters = mid + letters
-    return PhiWitness(tuple(letters), steps)
+    return tuple(letters)
 
 
 class TestLinearWitnessBuild:
@@ -524,7 +513,7 @@ class TestInversePPhi:
         g = normalize(small_family, [(1, 8)])
         a, t = inverse_p_phi(g, trapdoor_oracle(small_family, small_secrets, rng))
         assert t.is_identity
-        assert len(a) == 1 and a.letters[0].is_a0
+        assert len(a) == 1 and a[0][2]
         assert p_phi(small_family, a) == g
 
     def test_kernel_roundtrip_and_call_bound(self, small_family, small_secrets, rng):
@@ -567,43 +556,43 @@ class TestInversePPhi:
             witness, t = inverse_p_phi(g, trapdoor_oracle(small_family, small_secrets, rng))
             assert t.is_identity
             product = 1
-            for letter in witness.letters:
-                if letter.is_a0 and letter.factor == 1:
-                    product = product * letter.value % 35
+            for factor, value, is_a0 in witness:
+                if is_a0 and factor == 1:
+                    product = product * value % 35
             assert pow(product, 3, 35) == g.letters[0].value
 
 
 class TestPsiWitness:
     def test_empty(self, small_family):
-        assert p_psi(small_family, PsiWitness(())).is_identity
+        assert p_psi(small_family, ()).is_identity
 
     def test_single_letter(self, small_family):
-        w = PsiWitness((PsiLetter(1, 1),))
+        w = ((1, 1),)
         assert p_psi(small_family, w).letters == (GLetter(1, 17),)
 
     def test_cancelling_pair_maps_to_identity_class(self, small_family, small_secrets):
         # 17 (class 1) then 9 (class 2): product has class 0 under phi
-        w = PsiWitness((PsiLetter(1, 1), PsiLetter(1, 2)))
+        w = ((1, 1), (1, 2))
         g = p_psi(small_family, w)
         assert len(g) <= 2
         assert phi_map(g, small_secrets).is_identity
 
     def test_index_range(self, small_family):
         with pytest.raises(ValueError):
-            p_psi(small_family, PsiWitness((PsiLetter(1, 3),)))
+            p_psi(small_family, ((1, 3),))
 
 
 class TestCombinedP:
     def test_trivial(self, small_family):
-        assert combined_P(small_family, PhiWitness((), 0), PsiWitness(())).is_identity
+        assert combined_P(small_family, (), ()).is_identity
 
     def test_left_identity(self, small_family):
-        b = PsiWitness((PsiLetter(2, 1),))
-        assert combined_P(small_family, PhiWitness((), 0), b) == p_psi(small_family, b)
+        b = ((2, 1),)
+        assert combined_P(small_family, (), b) == p_psi(small_family, b)
 
     def test_random_witness_in_phi_kernel(self, small_family, small_secrets, rng):
         a = random_phi_witness(small_family, 4, rng)
-        g = combined_P(small_family, a, PsiWitness(()))
+        g = combined_P(small_family, a, ())
         assert phi_map(g, small_secrets).is_identity
 
 

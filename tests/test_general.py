@@ -9,9 +9,8 @@ import pytest
 
 from ghcrypt import cyclic, groupcore
 from ghcrypt.errors import Error, FormatError
-from ghcrypt.freeprod import (FactorFamily, PhiLetter, PhiWitness, PsiLetter, PsiWitness,
-                               combined_P, format_gword, g_multiply, parse_gword, phi_map,
-                               psi_map, random_phi_witness)
+from ghcrypt.freeprod import (FactorFamily, combined_P, format_gword, g_multiply,
+                               parse_gword, phi_map, psi_map, random_phi_witness)
 from ghcrypt.general import (
     GeneralCiphertext,
     GeneralPublicKey,
@@ -35,23 +34,19 @@ from ghcrypt.numtheory import jacobi, mod_inverse
 DATA = Path(__file__).parent / "data"
 
 
-def tampered_pk_text(pk, changes):
-    """Key text of pk with factor i's public key replaced as ``changes[i]``
-    (a dict of CyclicPublicKey fields) says; the TRANSVERSAL section is
-    rewritten to match, so only the factor lines are wrong."""
+def tampered_pk(pk, changes):
+    """pk with factor i's public key replaced as ``changes[i]`` (a dict of
+    CyclicPublicKey fields) says."""
     factors = list(pk.family.factors)
     for i, fields in changes.items():
         factors[i - 1] = dataclasses.replace(factors[i - 1], **fields)
-    bad = GeneralPublicKey(pk.group, pk.generators, FactorFamily(tuple(factors)))
-    return format_general_pk(bad)
+    return GeneralPublicKey(pk.group, pk.generators, FactorFamily(tuple(factors)))
 
 
-def witnesses(pair, steps):
-    """``sample_A``'s tuples as the witnesses ``combined_P`` takes; the phi
-    witness grew by ``steps`` insertions."""
-    a, b = pair
-    return (PhiWitness(tuple(PhiLetter(*t) for t in a), steps),
-            PsiWitness(tuple(PsiLetter(*s) for s in b)))
+def tampered_pk_text(pk, changes):
+    """Key text of ``tampered_pk``; the TRANSVERSAL section is rewritten to
+    match, so only the factor lines are wrong."""
+    return format_general_pk(tampered_pk(pk, changes))
 
 
 def jacobi_minus_one(n):
@@ -78,7 +73,7 @@ class TestKeygen:
         # Sym(6) has three factors, all of order 6, drawn from 8-bit primes
         sym6_pk, _ = keygen_general(sym(6), 8, random.Random(3))
         for pk in (sym3_keys[0], sym6_pk):
-            moduli = [pk.family.modulus(i) for i in range(1, pk.family.count + 1)]
+            moduli = [pk.family.public(i).n for i in range(1, pk.family.count + 1)]
             assert len(set(moduli)) == pk.family.count
 
     def test_cyclic_table_group_delegates(self):
@@ -212,18 +207,17 @@ class TestSampleA:
             fam = pk.family
             rng = random.Random(4)
             for _ in range(40):
-                a, b = witnesses(sample_A(pk, rng, phi_steps=3, psi_length=2), 3)
+                a, b = sample_A(pk, rng, phi_steps=3, psi_length=2)
                 word = combined_P(fam, a, b)
                 k = phi_map(word, sk.factors, pk.generators)
                 assert psi_map(k, pk.group).index == 0
 
     def test_phi_part_is_random_phi_witness(self, sym3_keys):
-        # the same draws: the triples are the letters random_phi_witness wraps
+        # the same draws give the same triples
         pk, _ = sym3_keys
         for seed in range(20):
             a, _ = sample_A(pk, random.Random(seed), phi_steps=seed, psi_length=0)
-            w = random_phi_witness(pk.family, seed, random.Random(seed))
-            assert a == tuple((l.factor, l.value, l.is_a0) for l in w.letters)
+            assert a == random_phi_witness(pk.family, seed, random.Random(seed))
 
 
 class TestOnePassEncrypt:
@@ -243,13 +237,48 @@ class TestOnePassEncrypt:
                 seed = 10 * h.index + s
                 encrypt_rng, sample_rng = random.Random(seed), random.Random(seed)
                 got = encrypt_general(pk, h, encrypt_rng, **sizes)
-                a, b = witnesses(sample_A(pk, sample_rng, **sizes),
-                                 2 * pk.group.order if steps is None else steps)
+                a, b = sample_A(pk, sample_rng, **sizes)
                 want = g_multiply(combined_P(pk.family, a, b),
                                   pk.transversal_word(h.index))
                 assert got.word == want, (k, h.index, sizes)
                 # encryption draws exactly sample_A's numbers
                 assert encrypt_rng.random() == sample_rng.random(), (k, h.index, sizes)
+
+
+class TestPublicTail:
+    """``encrypt_general`` ends each word with its psi syllables and the
+    representative, written as raw public transversal letters R_i[e], and
+    only letters facing a seam can merge.  So the public key alone reads h
+    off the trailing run of such letters far more often than chance."""
+
+    @staticmethod
+    def read_tail(pk, word):
+        """The product in H of the trailing run of transversal letters."""
+        H = pk.group
+        syllable = {(i, r): (i, e) for i, f in enumerate(pk.family.factors, start=1)
+                    for e, r in enumerate(f.transversal)}
+        run = []
+        for letter in reversed(word.letters):
+            if letter not in syllable:
+                break
+            run.append(syllable[letter])
+        acc = H.identity
+        for i, e in reversed(run):
+            acc = H.mul(acc, H.power(pk.generators[i - 1], e))
+        return acc
+
+    # hits of 300 at key seed 5, rng seed 7: 93 for Sym(5) (chance 2.5),
+    # 136 for Sym(3) (chance 50)
+    @pytest.mark.parametrize("k,least", [(5, 75), (3, 120)])
+    def test_public_key_reads_the_tail(self, k, least):
+        pk, _ = keygen_general(sym(k), 16, random.Random(5))
+        H, rng = pk.group, random.Random(7)
+        hits = 0
+        for _ in range(300):
+            h = H.element(rng.randrange(H.order))
+            c = encrypt_general(pk, h, rng, phi_steps=4, psi_length=2)
+            hits += self.read_tail(pk, c.word) == h.index
+        assert hits >= least
 
 
 class TestWorkCounts:
@@ -345,7 +374,7 @@ class TestWorkCounts:
         assert letters
         moduli = self.count_jacobi(monkeypatch)
         bob.evaluation_message(program)
-        assert moduli == [pk.family.modulus(i) for i in letters]
+        assert moduli == [pk.family.public(i).n for i in letters]
 
 
 def outcome(read, text):
@@ -443,17 +472,19 @@ class TestOwnerReader:
             assert outcome(owner, text) == want, text
 
     def test_member_of_uncovered_coset(self):
-        # a loadable key pair whose order-3 factor has R[2] in R[1]'s coset:
-        # the old R[2] is a member that decrypts to no coset, and both
-        # readers say so with decrypt_cyclic's NotInImage
+        # a key pair whose order-3 factor has R[2] in R[1]'s coset: its
+        # public key loads (no public check can tell), its secret key does
+        # not; built in memory, the old R[2] is a member that decrypts to
+        # no coset, and both readers say so with decrypt_cyclic's NotInImage
         pk, sk = keygen_general(sym(3), 16, random.Random(33))
         i = next(i for i, f in enumerate(pk.family.factors, start=1) if f.m == 3)
         fpk = pk.family.public(i)
         r = fpk.transversal
-        moved = (r[0], r[1], r[1] * pow(5, 3, fpk.n) % fpk.n)
-        bad_pk = parse_general_pk(tampered_pk_text(pk, {i: {"transversal": moved}}))
-        bad_sk = parse_general_sk(format_general_sk(sk), bad_pk)
-        public, owner = self.readers(bad_pk, bad_sk)
+        moved = {i: {"transversal": (r[0], r[1], r[1] * pow(5, 3, fpk.n) % fpk.n)}}
+        loaded = parse_general_pk(tampered_pk_text(pk, moved))
+        with pytest.raises(FormatError, match=f"factor {i}: .* one coset"):
+            parse_general_sk(format_general_sk(sk), loaded)
+        public, owner = self.readers(tampered_pk(pk, moved), sk)
         for text in (f"{i}:{r[2]}", f"# c\n{i}:{r[2]}\n"):
             want = outcome(public, text)
             assert want == (cyclic.NotInImage, f"{r[2]} lies in no transversal coset")
@@ -599,7 +630,7 @@ class TestKeyFiles:
                     if len(line.split()) == 2)
         el, token = line.split()
         factor, value = map(int, token.split(":"))
-        n = pk.family.modulus(factor)
+        n = pk.family.public(factor).n
         split = f"{factor}:4 {factor}:{value * mod_inverse(4, n) % n}"
         for spelling in (f"{factor}:{value + n}", f"{factor}:0{value}",
                          f"0{factor}:{value}", split, f"{token} {factor}:1"):

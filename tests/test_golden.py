@@ -72,9 +72,8 @@ def _witness(res):
     if res is None:
         return None
     a, b = res
-    return {"depth": a.depth,
-            "phi": [[l.factor, l.value, int(l.is_a0)] for l in a.letters],
-            "psi": [[l.factor, l.index] for l in b.letters]}
+    return {"phi": [[i, v, int(a0)] for i, v, a0 in a],
+            "psi": [list(syllable) for syllable in b]}
 
 
 def _case(H, bits: int, seed: str) -> dict:
