@@ -145,8 +145,10 @@ def keygen_general(H: FiniteGroup, bits: int, rng: random.Random
                    ) -> tuple[GeneralPublicKey, GeneralSecretKey]:
     """Generate a key pair for plaintext group H with |p_i| = |q_i| = bits.
 
-    One factor per generator in ``H.generators`` (a single factor of order
-    |H| for cyclic H), with pairwise distinct moduli.
+    One factor per generator in ``H.generators``, of the generator's order
+    (a single factor of order |H| for cyclic H; orders 6 and 5 for Sym(5),
+    since the generators after the first are of odd order where they can
+    be), with pairwise distinct moduli.
     """
     if H.order < 2:
         raise IdentityGroup("the plaintext group must have at least 2 elements")

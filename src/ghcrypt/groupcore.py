@@ -177,13 +177,18 @@ def _check_associativity(rows) -> tuple[int, ...]:
     # Light's test: the elements g with (x*g)*y = x*(g*y) for all x, y are
     # closed under products, so checking a generating set suffices.  Any
     # set serves, so the test checks the one keys are built on (FiniteGroup.
-    # generators: again and again the element of largest order, lowest
-    # index first, outside the subgroup so far; two for Sym(5)), and one
-    # _span call picks it for both uses.  Per generator g and element x,
-    # the row of x*g is compared with the row of x read through g's row.
+    # generators), and one _span call picks it for both uses.  The first
+    # generator is the element of largest order, lowest index first; after
+    # it, again and again the element outside the subgroup so far of
+    # largest odd order, and only then of largest even order, lowest index
+    # first.  A factor of odd order checks its letters without a Jacobi
+    # symbol, so Sym(5) gets orders 6 and 5.  Per generator g and element
+    # x, the row of x*g is compared with the row of x read through g's row.
     n = len(rows)
-    by_order = sorted(range(n - 1, 0, -1), key=lambda a: _order_of(rows, a))
-    generators, _ = _span(rows, by_order)
+    order = [_order_of(rows, a) for a in range(n)]
+    by_order = sorted(range(n - 1, 0, -1), key=order.__getitem__)
+    by_parity = sorted(by_order, key=lambda a: order[a] % 2)
+    generators, _ = _span(rows, by_parity + by_order[-1:])
     for g in generators:
         through_g = operator.itemgetter(*rows[g])
         for x in range(n):

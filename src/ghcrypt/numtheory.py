@@ -122,8 +122,10 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
 def random_prime_congruent(bits: int, residue: int, modulus: int, rng: random.Random) -> int:
     """Random probable prime p in [2**bits, 2**(bits+1)] with p = residue (mod modulus).
 
-    The search draws uniformly from the congruence class inside the interval
-    and gives up (ExhaustedRetries) after 64*bits failed candidates.
+    The search draws uniformly from the odd members of the congruence class
+    inside the interval and gives up (ExhaustedRetries) after 64*bits failed
+    candidates.  For an odd modulus those are one class mod 2*modulus; for
+    an even one every member is odd already.
     """
     if bits < 1:
         raise ValueError("bits must be at least 1")
@@ -132,6 +134,8 @@ def random_prime_congruent(bits: int, residue: int, modulus: int, rng: random.Ra
     residue %= modulus
     if gcd(residue, modulus) != 1:
         raise ValueError("residue must be coprime to the modulus")
+    if modulus % 2:
+        residue, modulus = residue + modulus * (1 - residue % 2), 2 * modulus
     lo, hi = 1 << bits, 1 << (bits + 1)
     first = lo + (residue - lo) % modulus
     if first > hi:

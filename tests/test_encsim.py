@@ -301,9 +301,12 @@ class TestProtocolCircuit:
 
     def test_alice_reads_bobs_input(self):
         """The protocol hides the circuit from Bob, not Bob's input from
-        Alice.  Bob's product keeps the interior letters of every word he
-        selects, and Alice made every word, so each letter found in only
-        one variable's words tells her whether Bob set that variable."""
+        Alice.  Bob's product keeps the interior of every word he selects,
+        in order, and Alice made every word, so a word whose interior she
+        finds whole in his product, with a letter of no other variable's
+        words, tells her that Bob set that variable.  One letter alone can
+        mislead: products of public transversal entries recur at the seams
+        of his product."""
         c = or_and_chain(6)
         pk, sk = keygen_general(sym(5), 16, random.Random(61))
         for bits in itertools.product((0, 1), repeat=6):
@@ -311,17 +314,24 @@ class TestProtocolCircuit:
                                  phi_steps=4, psi_length=2)
             program_text = alice.program_message()
             result = parse_gword(CircuitBob(pk, bits).evaluation_message(program_text),
-                                 pk.family)
+                                 pk.family).letters
             program = parse_encrypted_program(program_text, pk)
             owners: dict = {}
             for word, var in program.instructions:
                 for letter in word.letters:
                     owners.setdefault(letter, set()).add(var)
-            found = set(result.letters)
+            starts: dict = {}
+            for j, letter in enumerate(result):
+                starts.setdefault(letter, []).append(j)
+
+            def kept(interior):
+                return any(result[j:j + len(interior)] == interior
+                           for j in starts.get(interior[0], ()))
+
             guess = tuple(
-                int(any(letter in found and owners[letter] == {v}
-                        for word, var in program.instructions if var == v
-                        for letter in word.letters[1:-1]))
+                int(any(any(owners[letter] == {v} for letter in word.letters[1:-1])
+                        and kept(word.letters[1:-1])
+                        for word, var in program.instructions if var == v))
                 for v in range(6))
             assert guess == bits
 

@@ -70,7 +70,7 @@ class TestKeygen:
         assert [pk.group.labels[g] for g in pk.generators] == ["(1 2 3)", "(2 3)"]
 
     def test_distinct_moduli(self, sym3_keys):
-        # Sym(6) has three factors, all of order 6, drawn from 8-bit primes
+        # Sym(6) has three factors, of orders 6, 5 and 5, from 8-bit primes
         sym6_pk, _ = keygen_general(sym(6), 8, random.Random(3))
         for pk in (sym3_keys[0], sym6_pk):
             moduli = [pk.family.public(i).n for i in range(1, pk.family.count + 1)]
@@ -341,14 +341,15 @@ class TestWorkCounts:
 
     @staticmethod
     def protocol_sides(seed):
-        """A Sym(5) key pair with even-order factors, Alice's encrypted
-        program of a 3-input chain, and Bob's result word for input 111."""
+        """A Sym(5) key pair with factors of even and of odd order, Alice's
+        encrypted program of a 3-input chain, and Bob's result word for
+        input 111."""
         from ghcrypt.circuit import parse_circuit
         from ghcrypt.encsim import CircuitAlice, CircuitBob
 
         pk, sk = keygen_general(sym(5), 16, random.Random(seed))
-        assert all(pk.family.order(i) % 2 == 0
-                   for i in range(1, pk.family.count + 1))
+        parities = {pk.family.order(i) % 2 for i in range(1, pk.family.count + 1)}
+        assert parities == {0, 1}
         circuit = parse_circuit("INPUTS x1 x2 x3\ng1 = OR x1 x2\n"
                                 "g2 = AND g1 x3\nOUTPUT g2\n")
         alice = CircuitAlice(sk, pk, circuit, random.Random(seed + 1),
@@ -356,25 +357,35 @@ class TestWorkCounts:
         bob = CircuitBob(pk, (1, 1, 1))
         return pk, sk, alice, bob, alice.program_message()
 
+    @staticmethod
+    def even_and_odd(pk, letters):
+        """The factors of these letters of even order, in order, and the
+        number of odd-order letters."""
+        even = [i for i in letters if pk.family.order(i) % 2 == 0]
+        return even, len(letters) - len(even)
+
     def test_key_owner_reads_a_word_without_jacobi_symbols_mod_n(self, monkeypatch):
+        # and mod q_i only for the letters of even-order factors
         pk, sk, alice, bob, program = self.protocol_sides(171)
         word = bob.evaluation_message(program)
-        letters = [int(token.split(":")[0]) for token in word.split()]
-        assert letters
+        even, odd = self.even_and_odd(
+            pk, [int(token.split(":")[0]) for token in word.split()])
+        assert even and odd
         moduli = self.count_jacobi(monkeypatch)
         assert alice.result_message(word)[1] == 1
         assert not {f.n for f in pk.family.factors} & set(moduli)
-        assert moduli == [sk.factors[i - 1].q for i in letters]
+        assert moduli == [sk.factors[i - 1].q for i in even]
 
-    def test_bob_checks_each_letter_with_a_jacobi_symbol_mod_n(self, monkeypatch):
+    def test_bob_checks_only_even_order_letters_mod_n(self, monkeypatch):
         pk, _, _, bob, program = self.protocol_sides(172)
-        letters = [int(token.split(":")[0])
-                   for line in program.splitlines()[1:] for token in line.split()[1:]
-                   if token != "e"]
-        assert letters
+        even, odd = self.even_and_odd(
+            pk, [int(token.split(":")[0])
+                 for line in program.splitlines()[1:] for token in line.split()[1:]
+                 if token != "e"])
+        assert even and odd
         moduli = self.count_jacobi(monkeypatch)
         bob.evaluation_message(program)
-        assert moduli == [pk.family.public(i).n for i in letters]
+        assert moduli == [pk.family.public(i).n for i in even]
 
 
 def outcome(read, text):
@@ -722,8 +733,9 @@ Z2XZ2 = FiniteGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
 class TestGenerators:
     def test_symmetric_groups(self):
         assert [sym(3).labels[g] for g in sym(3).generators] == ["(1 2 3)", "(2 3)"]
-        assert [sym(5).order_of(g) for g in sym(5).generators] == [6, 6]
-        assert len(sym(6).generators) == 3
+        # after the first, odd orders before even ones
+        assert {k: [sym(k).order_of(g) for g in sym(k).generators]
+                for k in (4, 5, 6)} == {4: [4, 3], 5: [6, 5], 6: [6, 5, 5]}
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_cyclic_groups_keep_their_first_generator(self, m):

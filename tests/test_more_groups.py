@@ -22,7 +22,7 @@ from ghcrypt.general import (
     mult_ciphertexts_general,
     sample_A,
 )
-from ghcrypt.groupcore import FiniteGroup
+from ghcrypt.groupcore import FiniteGroup, _span, cyclic_group, sym
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,6 +64,29 @@ def test_the_groups_are_the_named_ones():
               for H in GROUPS}
     assert shapes == {"d4": (8, 5), "q8": (8, 1), "z2^4": (16, 15), "a4": (12, 3),
                       "a5": (60, 15)}
+
+
+def largest_order_generators(H):
+    """Reference: the generator rule before odd orders were preferred, again
+    and again the element of largest order, lowest index first, outside
+    the subgroup so far."""
+    by_order = sorted(range(H.order - 1, 0, -1), key=H.order_of)
+    return tuple(_span(H.table, by_order)[0])
+
+
+@pytest.mark.parametrize("H", [*map(sym, range(2, 7)), *map(cyclic_group, range(2, 13)),
+                               *GROUPS], ids=lambda H: H.name)
+def test_odd_orders_first_keeps_the_factor_count(H):
+    # the rule keeps the first generator and the factor count, and never
+    # gives more even-order factors (their letters need Jacobi symbols)
+    old = largest_order_generators(H)
+
+    def even(generators):
+        return sum(H.order_of(g) % 2 == 0 for g in generators)
+
+    assert H.generators[0] == old[0]
+    assert len(H.generators) == len(old)
+    assert even(H.generators) <= even(old)
 
 
 @pytest.fixture(scope="module", params=GROUPS, ids=lambda H: H.name)

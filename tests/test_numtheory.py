@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ghcrypt import numtheory
 from ghcrypt.numtheory import (
     EvenModulus,
     ExhaustedRetries,
@@ -148,6 +149,52 @@ class TestRandomPrimeCongruent:
     def test_rejects_common_factor(self):
         with pytest.raises(ValueError):
             random_prime_congruent(8, 2, 4, random.Random(0))
+
+    @staticmethod
+    def count_candidates(monkeypatch):
+        """The candidates tested for primality from now on, in order."""
+        candidates = []
+
+        def counting(n, rng=None):
+            candidates.append(n)
+            return is_probable_prime(n, rng=rng)
+
+        monkeypatch.setattr(numtheory, "is_probable_prime", counting)
+        return candidates
+
+    @pytest.mark.parametrize("modulus", [1, 3, 5, 7, 15])
+    def test_odd_modulus_tests_only_odd_candidates(self, monkeypatch, modulus):
+        candidates = self.count_candidates(monkeypatch)
+        for seed in range(8):
+            for residue in {1 % modulus, -1 % modulus}:
+                candidates.clear()
+                p = random_prime_congruent(16, residue, modulus, random.Random(seed))
+                assert candidates[-1] == p and p % modulus == residue
+                assert all(c % 2 == 1 and c % modulus == residue for c in candidates)
+
+    @staticmethod
+    def whole_class_prime(bits, residue, modulus, rng):
+        """Reference: the draw before odd candidates were preferred, from
+        every member of the class."""
+        residue %= modulus
+        lo, hi = 1 << bits, 1 << (bits + 1)
+        first = lo + (residue - lo) % modulus
+        count = (hi - first) // modulus + 1
+        for _ in range(64 * bits):
+            candidate = first + modulus * rng.randrange(count)
+            if is_probable_prime(candidate, rng=rng):
+                return candidate
+        raise AssertionError("no prime")
+
+    @pytest.mark.parametrize("modulus", [2, 4, 6, 10, 64])
+    def test_even_modulus_draws_as_before(self, modulus):
+        for seed in range(8):
+            for bits in (16, 32):
+                for residue in {1, modulus - 1}:
+                    got_rng, want_rng = random.Random(seed), random.Random(seed)
+                    assert (random_prime_congruent(bits, residue, modulus, got_rng)
+                            == self.whole_class_prime(bits, residue, modulus, want_rng))
+                    assert got_rng.random() == want_rng.random()
 
 
 class TestCrt:
