@@ -38,9 +38,12 @@ key alone cannot tell.
 The inverses R[i]^-1 are computed once per public key
 (``inverse_transversal``, by batch inversion): the characters need
 R[0]^-1, so a key pair that loads has them ready for the key owner's
-decryptions; other keys fill them on first use.  The m-th roots of unity
-that randomize ``inverse_P_cyclic`` are computed with the secret key
-(``CyclicSecretKey.from_primes``), so every root extraction finds them.
+decryptions; other keys fill them on first use.  ``inverse_P_cyclic``'s
+constants come with the secret key (``CyclicSecretKey.from_primes``), by
+one scan per prime (``numtheory.root_constants``): the m-th roots of
+unity, the Sylow generators the roots need, and p^-1 mod q.  A root
+extraction draws only two roots of unity: a fixed root times uniform roots
+of unity on each side is a uniform root.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ from .numtheory import (
     jacobi,
     mod_inverse,
     mth_root_mod_prime,
-    mth_roots_of_unity,
     random_prime_congruent,
+    root_constants,
 )
 
 __all__ = [
@@ -148,9 +151,12 @@ class CyclicSecretKey:
     m: int
     m_prime: int
     exp_p: int
-    # the sorted m-th roots of unity mod p and mod q, for inverse_P_cyclic
+    # inverse_P_cyclic's constants: the sorted m-th roots of unity and the
+    # Sylow generators mod p and mod q (root_constants), and p^-1 mod q
     roots_of_unity: tuple[tuple[int, ...], tuple[int, ...]] = field(
         repr=False, compare=False)
+    sylow: tuple[dict[int, int], dict[int, int]] = field(repr=False, compare=False)
+    p_inv_q: int = field(repr=False, compare=False)
 
     @classmethod
     def from_primes(cls, p: int, q: int, m: int) -> "CyclicSecretKey":
@@ -166,10 +172,9 @@ class CyclicSecretKey:
         m_prime = gcd(m, q - 1)
         if m_prime != gcd(m, 2):
             raise ValueError(f"q = {q} violates gcd(m, q-1) = gcd(m, 2)")
-        return cls(p=p, q=q, m=m, m_prime=m_prime,
-                   exp_p=(p - 1) // m,
-                   roots_of_unity=(tuple(mth_roots_of_unity(m, p)),
-                                   tuple(mth_roots_of_unity(m, q))))
+        unity, sylow = zip(root_constants(m, p), root_constants(m, q))
+        return cls(p=p, q=q, m=m, m_prime=m_prime, exp_p=(p - 1) // m,
+                   roots_of_unity=unity, sylow=sylow, p_inv_q=pow(p, -1, q))
 
 
 @dataclass(frozen=True)
@@ -284,23 +289,24 @@ def inverse_P_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, g: int,
                      rng: random.Random) -> int | None:
     """A uniformly random a with a^m = g (mod n), or None when none exists.
 
-    Extracts one root in each prime field and randomizes it by uniform
-    m-th roots of unity componentwise, so every preimage is equally likely.
+    Extracts one root of g in each prime field, fixed by the key's Sylow
+    generators, and multiplies it by a uniform m-th root of unity on each
+    side.  The roots of g mod p are that root times the roots of
+    unity, and likewise mod q, so every preimage is equally likely.  Only
+    a success draws from the rng: one ``choice`` per side.
     """
     g %= pk.n
     if gcd(g, pk.n) != 1:
         raise NotAUnit(f"{g} is not a unit modulo {pk.n}")
-    root_p = mth_root_mod_prime(g % sk.p, pk.m, sk.p, rng)
+    root_p = mth_root_mod_prime(g % sk.p, pk.m, sk.p, sk.sylow[0])
     if root_p is None:
         return None
-    root_q = mth_root_mod_prime(g % sk.q, pk.m, sk.q, rng)
+    root_q = mth_root_mod_prime(g % sk.q, pk.m, sk.q, sk.sylow[1])
     if root_q is None:
         return None
-    roots_p, roots_q = sk.roots_of_unity
-    unity_p = rng.choice(roots_p)
-    unity_q = rng.choice(roots_q)
-    return crt_pair(root_p * unity_p % sk.p, sk.p,
-                    root_q * unity_q % sk.q, sk.q)
+    a_p = root_p * rng.choice(sk.roots_of_unity[0]) % sk.p
+    a_q = root_q * rng.choice(sk.roots_of_unity[1]) % sk.q
+    return a_p + sk.p * ((a_q - a_p) * sk.p_inv_q % sk.q)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "factorize",
     "mth_root_mod_prime",
     "mth_roots_of_unity",
+    "root_constants",
 ]
 
 
@@ -189,23 +190,20 @@ def _sylow_dlog(value: int, base: int, ell: int, s: int, p: int) -> int:
     subgroup it generates.  Pohlig-Hellman digit extraction; the per-digit
     search is linear in ell, which is fine for the small exponents used here.
     """
-    result = 0
+    result, base_inv = 0, pow(base, -1, p)
     gamma = pow(base, ell ** (s - 1), p)
+    digits = [pow(gamma, i, p) for i in range(ell)]  # the ell-th roots of 1
     for k in range(s):
-        shifted = value * pow(pow(base, result, p), -1, p) % p
-        w = pow(shifted, ell ** (s - 1 - k), p)
-        digit, cur = 0, 1
-        while cur != w:
-            cur = cur * gamma % p
-            digit += 1
-            if digit >= ell:
-                raise Error("value is not in the expected cyclic subgroup")
-        result += digit * ell ** k
+        w = pow(value * pow(base_inv, result, p) % p, ell ** (s - 1 - k), p)
+        if w not in digits:
+            raise Error("value is not in the expected cyclic subgroup")
+        result += digits.index(w) * ell ** k
     return result
 
 
-def _prime_power_root(a: int, ell: int, e: int, p: int, rng: random.Random) -> int | None:
-    """One solution of x**(ell**e) = a (mod p), or None if there is none."""
+def _prime_power_root(a: int, ell: int, e: int, p: int, b: int | None) -> int | None:
+    """One solution of x**(ell**e) = a (mod p), or None if there is none;
+    ``b`` generates the ell-Sylow subgroup mod p (unread unless ell | p-1)."""
     order = p - 1
     t, s = order, 0
     while t % ell == 0:
@@ -213,44 +211,30 @@ def _prime_power_root(a: int, ell: int, e: int, p: int, rng: random.Random) -> i
         s += 1
     if s == 0:
         # the power map is a bijection; invert the exponent
-        inv = pow(pow(ell, e, order), -1, order)
-        return pow(a, inv, p)
+        return pow(a, pow(ell ** e, -1, order), p)
     c = min(e, s)
     if pow(a, order // ell ** c, p) != 1:
         return None
-    # split off the part of the root outside the ell-subgroup
-    if t > 1:
-        u = pow(pow(ell, e, t), -1, t)
-        x0 = pow(a, u, p)
-    else:
-        x0 = 1
-    # generator of the ell-Sylow subgroup
-    while True:
-        z = rng.randrange(2, p)
-        if pow(z, order // ell, p) != 1:
-            break
-    b = pow(z, t, p)
+    # split off the part of the root outside the ell-subgroup (1 if t = 1)
+    x0 = pow(a, pow(ell ** e, -1, t), p)
     defect = pow(x0, ell ** e, p) * pow(a, -1, p) % p
+    # x0 * b**j is a root when j * ell**e = -edl (mod ell**s)
     edl = _sylow_dlog(defect, b, ell, s, p)
-    if e >= s:
-        if edl != 0:
-            raise Error("m-th root solvability check disagrees with dlog")
-        j = 0
-    else:
-        if edl % ell ** e != 0:
-            raise Error("m-th root solvability check disagrees with dlog")
-        j = (-(edl // ell ** e)) % ell ** (s - e)
-    x = x0 * pow(b, j, p) % p
+    if edl % ell ** c != 0:
+        raise Error("m-th root solvability check disagrees with dlog")
+    x = x0 * pow(b, -(edl // ell ** c) % ell ** (s - c), p) % p
     if pow(x, ell ** e, p) != a % p:
         raise Error("internal root extraction failure")
     return x
 
 
-def mth_root_mod_prime(g: int, m: int, p: int, rng: random.Random | None = None) -> int | None:
+def mth_root_mod_prime(g: int, m: int, p: int,
+                       sylow: dict[int, int] | None = None) -> int | None:
     """Some x with x**m = g (mod p), or None when no root exists.
 
-    Treats one prime power of m at a time (Adleman-Manders-Miller style);
-    the choice of root depends only on the rng stream.
+    Treats one prime power of m at a time (Adleman-Manders-Miller style)
+    with ``sylow``, the generators of ``root_constants(m, p)``, derived by
+    the same scan when not given; the root depends on the arguments alone.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -261,34 +245,43 @@ def mth_root_mod_prime(g: int, m: int, p: int, rng: random.Random | None = None)
         raise NotAUnit(f"{g} is not a unit modulo {p}")
     if p == 2 or m == 1:
         return g
-    if rng is None:
-        rng = random.Random(0xA77)
-    current = g
+    if sylow is None:
+        sylow = root_constants(m, p)[1]
     for ell, e in sorted(factorize(m).items()):
-        current = _prime_power_root(current, ell, e, p, rng)
-        if current is None:
+        g = _prime_power_root(g, ell, e, p, sylow.get(ell))
+        if g is None:
             return None
-    return current
+    return g
 
 
-def mth_roots_of_unity(m: int, p: int) -> list[int]:
-    """All x mod p with x**m = 1, sorted.  The list has gcd(m, p-1) entries."""
+def root_constants(m: int, p: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The sorted m-th roots of unity mod p, and a generator of the
+    ell-Sylow subgroup mod p for each prime ell dividing d = gcd(m, p-1),
+    from one scan for the least z >= 2 whose ((p-1)/d)-th power w has order
+    d: the roots are the powers of w, and as z is no ell-th power, z**t
+    (t the part of p-1 prime to ell) has order ell**v_ell(p-1).
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
     if p < 2:
         raise ValueError("p must be prime")
-    if p == 2:
-        return [1]
     d = gcd(m, p - 1)
     if d == 1:
-        return [1]
+        return (1,), {}
     primes = list(factorize(d))
-    # deterministic scan for an element of order exactly d
     for z in range(2, min(p, 1 << 20)):
         w = pow(z, (p - 1) // d, p)
         if all(pow(w, d // r, p) != 1 for r in primes):
             roots = [1]
             for _ in range(d - 1):
                 roots.append(roots[-1] * w % p)
-            return sorted(roots)
+            # z**t, t = p-1 over its ell-part (ell**bit_length exceeds p-1)
+            sylow = {ell: pow(z, (p - 1) // gcd(p - 1, ell ** p.bit_length()), p)
+                     for ell in primes}
+            return tuple(sorted(roots)), sylow
     raise Error(f"could not find an element of order {d} modulo {p}")
+
+
+def mth_roots_of_unity(m: int, p: int) -> list[int]:
+    """All x mod p with x**m = 1, sorted.  The list has gcd(m, p-1) entries."""
+    return list(root_constants(m, p)[0])

@@ -3,8 +3,8 @@ from math import gcd
 
 import pytest
 
-from ghcrypt.numtheory import (ExhaustedRetries, NotAUnit, jacobi, mod_inverse,
-                               mth_roots_of_unity)
+from ghcrypt.numtheory import (ExhaustedRetries, NotAUnit, factorize, jacobi,
+                               mod_inverse, mth_roots_of_unity)
 from ghcrypt.cyclic import (
     BadOrder,
     CyclicCiphertext,
@@ -25,6 +25,7 @@ from ghcrypt.cyclic import (
     mult_ciphertexts,
     parse_cyclic_pk,
     parse_cyclic_sk,
+    random_unit,
 )
 from ghcrypt.errors import FormatError
 
@@ -359,6 +360,20 @@ class TestDecryptScan:
                                      tuple(mth_roots_of_unity(3, 5)))
         assert sk.roots_of_unity is sk.roots_of_unity
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 12, 64])
+    def test_sylow_generators_have_full_order(self, m):
+        _, sk = keygen_cyclic(m, 16, random.Random(f"sylow:{m}"))
+        primes = sorted(factorize(m))
+        # every prime of m divides p - 1; only 2, for even m, divides q - 1
+        assert sorted(sk.sylow[0]) == primes
+        assert sorted(sk.sylow[1]) == [2] * (m % 2 == 0)
+        for prime, generators in ((sk.p, sk.sylow[0]), (sk.q, sk.sylow[1])):
+            for ell, b in generators.items():
+                s = factorize(prime - 1)[ell]
+                assert pow(b, ell ** s, prime) == 1
+                assert pow(b, ell ** (s - 1), prime) != 1
+        assert sk.p * sk.p_inv_q % sk.q == 1
+
 
 class TestInverse:
     def test_cube_roots_of_8(self, key35):
@@ -383,6 +398,38 @@ class TestInverse:
         for _ in range(20):
             a = inverse_P_cyclic(sk, pk, 1, rng)
             assert pow(a, 3, 35) == 1
+
+    def test_uniform_over_all_roots_even_m(self):
+        # v2(12) = 2 > v2(6) and v2(16) = 4, so the Sylow walk runs past
+        # the exponent of 2 in m on both primes
+        pk, sk = keygen_cyclic(6, 4, random.Random("even-m"), primes=(13, 17))
+        n = pk.n
+        g = pow(5, 6, n)
+        roots = sorted(x for x in units(n) if pow(x, 6, n) == g)
+        assert len(roots) == 12  # gcd(6, 12) * gcd(6, 16)
+        counts = dict.fromkeys(roots, 0)
+        rng, samples = random.Random(46), 6000
+        for _ in range(samples):
+            counts[inverse_P_cyclic(sk, pk, g, rng)] += 1
+        # one standard deviation of a frequency is sqrt(p (1 - p) / samples),
+        # 0.0036 here; the bound is about five and a half of them
+        for c in counts.values():
+            assert abs(c / samples - 1 / 12) <= 0.02, counts
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 12])
+    def test_rng_draws_only_the_two_roots_of_unity(self, m):
+        pk, sk = keygen_cyclic(m, 16, random.Random(f"draws:{m}"))
+        rng, twin = random.Random(m), random.Random()
+        for _ in range(20):
+            power = pow(random_unit(pk.n, rng), m, pk.n)
+            twin.setstate(rng.getstate())
+            assert inverse_P_cyclic(sk, pk, power, rng) is not None
+            twin.choice(sk.roots_of_unity[0])
+            twin.choice(sk.roots_of_unity[1])
+            assert rng.getstate() == twin.getstate()
+            # R[1] times an m-th power has no m-th root, and draws nothing
+            assert inverse_P_cyclic(sk, pk, power * pk.transversal[1], rng) is None
+            assert rng.getstate() == twin.getstate()
 
     def test_root_property_random(self, key77):
         pk, sk = key77

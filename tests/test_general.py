@@ -10,7 +10,8 @@ import pytest
 from ghcrypt import cyclic, groupcore
 from ghcrypt.errors import Error, FormatError
 from ghcrypt.freeprod import (FactorFamily, combined_P, format_gword, g_multiply,
-                               parse_gword, phi_map, psi_map, random_phi_witness)
+                               p_phi, parse_gword, phi_map, psi_map,
+                               random_phi_witness)
 from ghcrypt.general import (
     GeneralCiphertext,
     GeneralPublicKey,
@@ -279,6 +280,26 @@ class TestPublicTail:
             c = encrypt_general(pk, h, rng, phi_steps=4, psi_length=2)
             hits += self.read_tail(pk, c.word) == h.index
         assert hits >= least
+
+
+class TestEmptyPhiWord:
+    """Each step of ``random_phi_witness`` skips its preimage letter x0
+    with probability 1/(count+1).  When every step skips it, the witness
+    is nested conjugations x^-1 ... x that cancel, so ``sample_A``'s phi
+    part evaluates to the empty word: with probability (1/3)**4 at phi 4
+    over two factors.  A ciphertext then carries no random letter."""
+
+    def test_empty_exactly_when_no_preimage_letter(self):
+        pk, _ = keygen_general(sym(5), 16, random.Random(5))
+        assert pk.family.count == 2
+        rng, draws, empty = random.Random(7), 3000, 0
+        for _ in range(draws):
+            a, _ = sample_A(pk, rng, phi_steps=4, psi_length=2)
+            no_x0 = not any(is_a0 for _, _, is_a0 in a)
+            assert p_phi(pk.family, a).is_identity == no_x0, a
+            empty += no_x0
+        # expected draws / 81 = 37.0, standard deviation 6.0; 41 at these seeds
+        assert 7 <= empty <= 67, empty
 
 
 class TestWorkCounts:

@@ -2,17 +2,20 @@
 Sym(k) and Z_m: D4, Q8, (Z2)^4, A4 and A5, each built from permutation
 generators.  Round trips, products, ``sample_A`` pairs in the kernel and
 ``combined_P`` of ``inverse_P_general`` witnesses, at 16-bit keys with phi
-6 / psi 3; and Barrington's construction over A5, the smallest unsolvable
+6 / psi 3; the trapdoor of each factor against enumeration, at keys under
+2^14; and Barrington's construction over A5, the smallest unsolvable
 group."""
 
 import itertools
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from ghcrypt.barrington import compile_barrington, eval_program
 from ghcrypt.circuit import eval_circuit, parse_circuit
+from ghcrypt.cyclic import CyclicCiphertext, NotInImage, decrypt_cyclic
 from ghcrypt.freeprod import combined_P, g_inverse, g_multiply, phi_map, psi_map
 from ghcrypt.general import (
     decrypt_general,
@@ -130,6 +133,27 @@ def test_inverse_P_general_witnesses_evaluate_back(keys):
         witness = inverse_P_general(sk, pk, word, rng)
         assert witness is not None
         assert combined_P(pk.family, *witness) == word
+
+
+@pytest.mark.parametrize("H", GROUPS, ids=lambda H: H.name)
+def test_trapdoor_agrees_with_enumeration(H):
+    # factor orders 2, 3, 4 and 5 over these groups; 6-bit primes keep n
+    # under 2^14, so every unit of every factor is decrypted
+    pk, sk = keygen_general(H, 6, random.Random(f"enumerate:{H.name}"))
+    for fpk, fsk in zip(pk.family.factors, sk.factors):
+        n, m = fpk.n, fpk.m
+        assert n < 1 << 14
+        units = [x for x in range(1, n) if gcd(x, n) == 1]
+        kernel = {pow(x, m, n) for x in units}
+        inverses = [pow(r, -1, n) for r in fpk.transversal]
+        for g in units:
+            hits = [i for i, r_inv in enumerate(inverses) if g * r_inv % n in kernel]
+            if hits:
+                assert len(hits) == 1
+                assert decrypt_cyclic(fsk, fpk, CyclicCiphertext(g)) == hits[0]
+            else:  # a unit of Jacobi symbol -1 for even m
+                with pytest.raises(NotInImage):
+                    decrypt_cyclic(fsk, fpk, CyclicCiphertext(g))
 
 
 @pytest.mark.parametrize("name", ["and2.bc", "xor2.bc", "maj3.bc", "mux3.bc", "th2of4.bc"])
