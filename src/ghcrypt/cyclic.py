@@ -14,36 +14,33 @@ p = 1 (mod m) and gcd(m, q-1) = gcd(m, 2), so membership in the group of
 m-th powers is decided by one exponentiation mod p, plus one Legendre
 symbol mod q for even m (for odd m every unit mod q is an m-th power).
 
-Decryption compares characters.  The map x -> x^((p-1)/m) mod p is a
-homomorphism whose kernel holds the m-th powers mod p, so c lies in the
-coset of R[i] on the p side exactly when c and R[i] have the same
-character; both are taken relative to R[0] so that the character of
-coset 0 is 1 (the test of Benaloh's dense probabilistic encryption, 1994).
-For even m a match is confirmed by one Jacobi symbol mod q.  A lone
-ciphertext of plaintext i costs i + 1 powers mod p (its own character and
-those of R[1..i]), plus one Jacobi symbol mod q for even m.  The
+Decryption compares characters.  The character x -> x^((p-1)/m) mod p
+is a homomorphism whose kernel holds the m-th powers mod p, so c lies in
+the coset of R[i] on the p side exactly when c and R[i] have the same
+character (the test of Benaloh's dense probabilistic encryption, 1994).
+For even m a match is confirmed by the Legendre symbol of c * R[i] mod q,
+which is that of c * R[i]^-1; decryption takes no inverse.  A lone
+ciphertext of plaintext i costs i + 2 powers mod p (its own character and
+those of R[0..i]), plus one Jacobi symbol mod q for even m.  The
 characters of the transversal depend only on the key pair, so a caller
 decrypting many letters under one key passes one list that keeps them
 (``decrypt_cyclic``'s ``characters``); each letter then costs one power
 mod p, plus one Jacobi symbol mod q for even m, and the transversal
 characters are computed once per list; ``freeprod._coset_run`` is the
-caller that keeps such a list.  Key generation and the secret-key parsers
-(``parse_cyclic_sk`` here, ``general.parse_general_sk`` for each factor)
-check the transversal with the same characters but without decrypting:
-the m characters of R[0..m-1] (``transversal_characters``) must be
-distinct, one power mod p each.  Every entry lies in G(n, m), so for
-even m equal characters mod p force equal Legendre symbols mod q, and
-distinct characters hold exactly when each R[i] decrypts to i; the public
-key alone cannot tell.
-The inverses R[i]^-1 are computed once per public key
-(``inverse_transversal``, by batch inversion): the characters need
-R[0]^-1, so a key pair that loads has them ready for the key owner's
-decryptions; other keys fill them on first use.  ``inverse_P_cyclic``'s
-constants come with the secret key (``CyclicSecretKey.from_primes``), by
-one scan per prime (``numtheory.root_constants``): the m-th roots of
-unity, the Sylow generators the roots need, and p^-1 mod q.  A root
-extraction draws only two roots of unity: a fixed root times uniform roots
-of unity on each side is a uniform root.
+caller that keeps such a list.  Key generation and the secret-key loader
+(``load_cyclic_sk``, which ``parse_cyclic_sk`` and
+``general.parse_general_sk`` share) check the transversal with the same
+characters but without decrypting: the m characters of R[0..m-1]
+(``transversal_characters``) must be distinct, one power mod p each.
+Every entry lies in G(n, m), so for even m equal characters mod p force
+equal Legendre symbols mod q, and distinct characters hold exactly when
+each R[i] decrypts to i; the public key alone cannot tell.
+``inverse_P_cyclic``'s constants come with the secret key
+(``CyclicSecretKey.from_primes``), by one scan per prime
+(``numtheory.root_constants``): the m-th roots of unity, the steps of a
+root (the prime powers of m with their Sylow generators), and p^-1 mod q.
+A root extraction draws only two roots of unity: a fixed root times
+uniform roots of unity on each side is a uniform root.
 """
 
 from __future__ import annotations
@@ -57,11 +54,11 @@ from .errors import Error, FormatError, header, ints, records
 from .numtheory import (
     ExhaustedRetries,
     NotAUnit,
+    RootStep,
     crt_pair,
     factorize,
     is_probable_prime,
     jacobi,
-    mod_inverse,
     mth_root_mod_prime,
     random_prime_congruent,
     root_constants,
@@ -89,6 +86,7 @@ __all__ = [
     "parse_cyclic_pk",
     "format_cyclic_sk",
     "parse_cyclic_sk",
+    "load_cyclic_sk",
     "random_unit",
 ]
 
@@ -114,34 +112,6 @@ class CyclicPublicKey:
     m: int
     n: int
     transversal: tuple[int, ...]
-    # Filled when a secret key for it loads, or else on first use.  A
-    # declared field keeps the instance's compact attribute storage; a
-    # cached_property writes to __dict__, which makes every later attribute
-    # read on the key slower in CPython 3.11.
-    _inverse_transversal: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    @property
-    def inverse_transversal(self) -> tuple[int, ...]:
-        """R[i]^-1 mod n for each i, the multipliers of the decryption scan.
-
-        Montgomery's batch inversion: one mod_inverse of the product of all
-        entries and about 3m multiplications, in place of m inversions.
-        """
-        if self._inverse_transversal is None:
-            n, R = self.n, self.transversal
-            prefix = [1]  # prefix[i] = R[0] * ... * R[i-1]
-            for r in R[:-1]:
-                prefix.append(prefix[-1] * r % n)
-            # (R[0] * ... * R[i])^-1 at the top of each step below
-            inv = mod_inverse(prefix[-1] * R[-1], n)
-            out = [0] * self.m
-            for i in range(self.m - 1, 0, -1):
-                out[i] = inv * prefix[i] % n
-                inv = inv * R[i] % n
-            out[0] = inv
-            object.__setattr__(self, "_inverse_transversal", tuple(out))
-        return self._inverse_transversal
 
 
 @dataclass(frozen=True)
@@ -152,10 +122,11 @@ class CyclicSecretKey:
     m_prime: int
     exp_p: int
     # inverse_P_cyclic's constants: the sorted m-th roots of unity and the
-    # Sylow generators mod p and mod q (root_constants), and p^-1 mod q
+    # steps of an m-th root mod p and mod q (root_constants), and p^-1 mod q
     roots_of_unity: tuple[tuple[int, ...], tuple[int, ...]] = field(
         repr=False, compare=False)
-    sylow: tuple[dict[int, int], dict[int, int]] = field(repr=False, compare=False)
+    root_steps: tuple[tuple[RootStep, ...], tuple[RootStep, ...]] = field(
+        repr=False, compare=False)
     p_inv_q: int = field(repr=False, compare=False)
 
     @classmethod
@@ -172,9 +143,9 @@ class CyclicSecretKey:
         m_prime = gcd(m, q - 1)
         if m_prime != gcd(m, 2):
             raise ValueError(f"q = {q} violates gcd(m, q-1) = gcd(m, 2)")
-        unity, sylow = zip(root_constants(m, p), root_constants(m, q))
+        unity, steps = zip(root_constants(m, p), root_constants(m, q))
         return cls(p=p, q=q, m=m, m_prime=m_prime, exp_p=(p - 1) // m,
-                   roots_of_unity=unity, sylow=sylow, p_inv_q=pow(p, -1, q))
+                   roots_of_unity=unity, root_steps=steps, p_inv_q=pow(p, -1, q))
 
 
 @dataclass(frozen=True)
@@ -235,17 +206,17 @@ def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext
                    characters: list[int] | None = None) -> int:
     """Recover the plaintext: the first i with c * R[i]^-1 an m-th power.
 
-    With chi(x) = (x * R[0]^-1)^((p-1)/m) mod p, the p side of that test is
-    chi(c) == chi(R[i]); for even m a p-side match also needs the Legendre
-    symbol (c * R[i]^-1 | q) = 1 (``jacobi``: reciprocity, a half to a
-    third of the cost of Euler's criterion), and the scan goes on when it
-    fails.
-    ``characters`` memoizes chi(R[0]), chi(R[1]), ... (chi(R[0]) = 1) and
-    is filled in order as the scan first reaches each coset; it belongs to
-    this key pair, and a caller that decrypts several letters under the
-    key passes the same list each time.  A letter of plaintext i costs one
-    power mod p, the characters of R[1..i] not yet in the list, and one
-    Jacobi symbol mod q per p-side match for even m.  A unit outside the
+    With the character chi(x) = x^((p-1)/m) mod p, the p side of that test
+    is chi(c) == chi(R[i]); for even m a p-side match also needs the
+    Legendre symbol (c * R[i] | q) = 1, which equals (c * R[i]^-1 | q)
+    (``jacobi``: reciprocity, a half to a third of the cost of Euler's
+    criterion), and the scan goes on when it fails.  No inverse is taken.
+    ``characters`` memoizes chi(R[0]), chi(R[1]), ... and is filled in
+    order as the scan first reaches each coset; it belongs to this key
+    pair, and a caller that decrypts several letters under the key passes
+    the same list each time.  A letter of plaintext i costs one power mod
+    p, the characters of R[0..i] not yet in the list, and one Jacobi
+    symbol mod q per p-side match for even m.  A unit outside the
     ciphertext group raises NotInImage after the full scan; a non-unit
     raises NotAUnit.  So for a key pair made by keygen, decryption returns
     i only for members of G(n, m) and raises NotAUnit or NotInImage
@@ -257,27 +228,23 @@ def decrypt_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, c: CyclicCiphertext
     value = c.value % n
     if gcd(value, n) != 1:
         raise NotAUnit(f"{value} is not a unit modulo {n}")
-    r_inv = pk.inverse_transversal
-    x = pow(value * r_inv[0] % p, sk.exp_p, p)
+    x = pow(value % p, sk.exp_p, p)
     if characters is None:
         characters = []
-    if not characters:
-        characters.append(1)
-    for i in range(pk.m):
+    for i, r in enumerate(pk.transversal):
         if i == len(characters):
-            characters.append(pow(pk.transversal[i] * r_inv[0] % p, sk.exp_p, p))
-        if x == characters[i] and (
-                sk.m_prime == 1 or jacobi(value * r_inv[i] % q, q) == 1):
+            characters.append(pow(r % p, sk.exp_p, p))
+        if x == characters[i] and (sk.m_prime == 1 or jacobi(value * r % q, q) == 1):
             return i
     raise NotInImage(f"{c.value} lies in no transversal coset")
 
 
 def transversal_characters(sk: CyclicSecretKey, pk: CyclicPublicKey) -> list[int]:
-    """The characters (R[i] * R[0]^-1)^((p-1)/m) mod p of the m transversal
-    entries, ``decrypt_cyclic``'s chi at one power mod p each.  They are
-    distinct exactly when each R[i] decrypts to i."""
-    p, r0_inv = sk.p, pk.inverse_transversal[0]
-    return [pow(r * r0_inv % p, sk.exp_p, p) for r in pk.transversal]
+    """The characters R[i]^((p-1)/m) mod p of the m transversal entries,
+    ``decrypt_cyclic``'s chi at one power mod p each.  They are distinct
+    exactly when each R[i] decrypts to i."""
+    p = sk.p
+    return [pow(r % p, sk.exp_p, p) for r in pk.transversal]
 
 
 def mult_ciphertexts(pk: CyclicPublicKey, c1: CyclicCiphertext, c2: CyclicCiphertext) -> CyclicCiphertext:
@@ -289,8 +256,8 @@ def inverse_P_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, g: int,
                      rng: random.Random) -> int | None:
     """A uniformly random a with a^m = g (mod n), or None when none exists.
 
-    Extracts one root of g in each prime field, fixed by the key's Sylow
-    generators, and multiplies it by a uniform m-th root of unity on each
+    Extracts one root of g in each prime field, fixed by the key's root
+    steps, and multiplies it by a uniform m-th root of unity on each
     side.  The roots of g mod p are that root times the roots of
     unity, and likewise mod q, so every preimage is equally likely.  Only
     a success draws from the rng: one ``choice`` per side.
@@ -298,10 +265,10 @@ def inverse_P_cyclic(sk: CyclicSecretKey, pk: CyclicPublicKey, g: int,
     g %= pk.n
     if gcd(g, pk.n) != 1:
         raise NotAUnit(f"{g} is not a unit modulo {pk.n}")
-    root_p = mth_root_mod_prime(g % sk.p, pk.m, sk.p, sk.sylow[0])
+    root_p = mth_root_mod_prime(g, sk.p, sk.root_steps[0])
     if root_p is None:
         return None
-    root_q = mth_root_mod_prime(g % sk.q, pk.m, sk.q, sk.sylow[1])
+    root_q = mth_root_mod_prime(g, sk.q, sk.root_steps[1])
     if root_q is None:
         return None
     a_p = root_p * rng.choice(sk.roots_of_unity[0]) % sk.p
@@ -491,12 +458,10 @@ def format_cyclic_sk(sk: CyclicSecretKey) -> str:
     return f"GHC-CYCLIC-SK v1\np: {sk.p}\nq: {sk.q}\n"
 
 
-def parse_cyclic_sk(text: str, pk: CyclicPublicKey) -> CyclicSecretKey:
-    """Parse the secret key of ``pk``; FormatError unless p*q = n, the
-    primes fit the plaintext order m and the transversal entries lie in m
+def load_cyclic_sk(p: int, q: int, pk: CyclicPublicKey) -> CyclicSecretKey:
+    """The secret key (p, q) of ``pk``; FormatError unless the primes fit
+    the plaintext order m, p*q = n and the transversal entries lie in m
     distinct cosets (``transversal_characters``)."""
-    fields = _parse_fields(text, "GHC-CYCLIC-SK v1", ["p", "q"])
-    p, q = ints([fields["p"], fields["q"]], "key field")
     try:
         sk = CyclicSecretKey.from_primes(p, q, pk.m)
     except ValueError as exc:
@@ -506,3 +471,10 @@ def parse_cyclic_sk(text: str, pk: CyclicPublicKey) -> CyclicSecretKey:
     if len(set(transversal_characters(sk, pk))) != pk.m:
         raise FormatError("two transversal entries lie in one coset")
     return sk
+
+
+def parse_cyclic_sk(text: str, pk: CyclicPublicKey) -> CyclicSecretKey:
+    """Parse the secret key of ``pk`` (``load_cyclic_sk``)."""
+    fields = _parse_fields(text, "GHC-CYCLIC-SK v1", ["p", "q"])
+    p, q = ints([fields["p"], fields["q"]], "key field")
+    return load_cyclic_sk(p, q, pk)

@@ -182,6 +182,12 @@ class GroupCircuit:
     output: int
 
 
+# The most letters a word of Bob's group circuit may have.  Each MUL line
+# can double a word, so a short text asks for exponential work; a product
+# of two words within the cap has at most twice its letters.
+WORD_CAP = 1 << 16
+
+
 def _run_steps(circ: GroupCircuit, inputs, const, mul, inv):
     """Run the steps of circ on ``inputs`` and return the output value:
     ``const(index)`` gives a constant's value, ``mul`` and ``inv`` the
@@ -380,7 +386,8 @@ class InputBob:
         self.phi_steps, self.psi_length = phi_steps, psi_length
 
     def evaluation_message(self, inputs_text: str) -> str:
-        """Bob's circuit over Alice's words, constants encrypted in step order."""
+        """Bob's circuit over Alice's words, constants encrypted in step order;
+        Error as soon as a product passes ``WORD_CAP`` letters."""
         pk = self.pk
         words = [parse_gword(line, pk.family)
                  for line in inputs_text.strip().splitlines()]
@@ -390,7 +397,13 @@ class InputBob:
                                    phi_steps=self.phi_steps,
                                    psi_length=self.psi_length).word
 
-        result = _run_steps(self.circ, words, const, g_multiply, g_inverse)
+        def mul(u: GWord, v: GWord) -> GWord:
+            product = g_multiply(u, v)
+            if len(product) > WORD_CAP:
+                raise Error(f"group circuit word passes {WORD_CAP} letters")
+            return product
+
+        result = _run_steps(self.circ, words, const, mul, g_inverse)
         return format_gword(result) + "\n"
 
 

@@ -24,8 +24,8 @@ from .cyclic import (
     check_cyclic_pk,
     in_group_G,
     keygen_cyclic,
+    load_cyclic_sk,
     random_unit,
-    transversal_characters,
 )
 from .freeprod import (
     FactorFamily,
@@ -403,15 +403,10 @@ def parse_general_sk(text: str, pk: GeneralPublicKey) -> GeneralSecretKey:
             raise FormatError("factor lines must be numbered consecutively")
         if fi > pk.family.count:
             raise FormatError("more secret factors than public factors")
-        fpk = pk.family.public(fi)
         try:
-            secrets.append(CyclicSecretKey.from_primes(p, q, fpk.m))
-        except ValueError as exc:
+            secrets.append(load_cyclic_sk(p, q, pk.family.public(fi)))
+        except FormatError as exc:
             raise FormatError(f"factor {fi}: {exc}") from None
-        if p * q != fpk.n:
-            raise FormatError(f"factor {fi}: secret key does not match its factor")
-        if len(set(transversal_characters(secrets[-1], fpk))) != fpk.m:
-            raise FormatError(f"factor {fi}: two transversal entries lie in one coset")
     if len(secrets) != pk.family.count:
         raise FormatError("secret count does not match factor count")
     return GeneralSecretKey(tuple(secrets))

@@ -183,6 +183,11 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+# one step of an m-th root: a prime power ell**e of m and a generator of
+# the ell-Sylow subgroup mod p, or None when ell does not divide p - 1
+RootStep = tuple[int, int, int | None]
+
+
 def _sylow_dlog(value: int, base: int, ell: int, s: int, p: int) -> int:
     """Discrete log of ``value`` to ``base`` inside the cyclic ell-subgroup.
 
@@ -228,47 +233,42 @@ def _prime_power_root(a: int, ell: int, e: int, p: int, b: int | None) -> int | 
     return x
 
 
-def mth_root_mod_prime(g: int, m: int, p: int,
-                       sylow: dict[int, int] | None = None) -> int | None:
+def mth_root_mod_prime(g: int, p: int, steps: tuple[RootStep, ...]) -> int | None:
     """Some x with x**m = g (mod p), or None when no root exists.
 
-    Treats one prime power of m at a time (Adleman-Manders-Miller style)
-    with ``sylow``, the generators of ``root_constants(m, p)``, derived by
-    the same scan when not given; the root depends on the arguments alone.
+    ``steps`` are the prime powers of m with their Sylow generators, the
+    second half of ``root_constants(m, p)``; one prime power at a time
+    (Adleman-Manders-Miller style), and the root depends on the arguments
+    alone.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if p < 2:
-        raise ValueError("p must be prime")
     g %= p
     if g == 0:
         raise NotAUnit(f"{g} is not a unit modulo {p}")
-    if p == 2 or m == 1:
-        return g
-    if sylow is None:
-        sylow = root_constants(m, p)[1]
-    for ell, e in sorted(factorize(m).items()):
-        g = _prime_power_root(g, ell, e, p, sylow.get(ell))
+    for ell, e, b in steps:
+        g = _prime_power_root(g, ell, e, p, b)
         if g is None:
             return None
     return g
 
 
-def root_constants(m: int, p: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The sorted m-th roots of unity mod p, and a generator of the
-    ell-Sylow subgroup mod p for each prime ell dividing d = gcd(m, p-1),
-    from one scan for the least z >= 2 whose ((p-1)/d)-th power w has order
-    d: the roots are the powers of w, and as z is no ell-th power, z**t
-    (t the part of p-1 prime to ell) has order ell**v_ell(p-1).
+def root_constants(m: int, p: int) -> tuple[tuple[int, ...], tuple[RootStep, ...]]:
+    """The sorted m-th roots of unity mod p, and the steps of an m-th root:
+    each prime power ell**e of m, ascending, with a generator of the
+    ell-Sylow subgroup mod p (None unless ell divides d = gcd(m, p-1)).
+
+    One scan finds the least z >= 2 whose ((p-1)/d)-th power w has order d:
+    the roots are the powers of w, and as z is no ell-th power, z**t (t the
+    part of p-1 prime to ell) has order ell**v_ell(p-1).
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if p < 2:
         raise ValueError("p must be prime")
+    powers = sorted(factorize(m).items())
     d = gcd(m, p - 1)
     if d == 1:
-        return (1,), {}
-    primes = list(factorize(d))
+        return (1,), tuple((ell, e, None) for ell, e in powers)
+    primes = [ell for ell, _ in powers if d % ell == 0]
     for z in range(2, min(p, 1 << 20)):
         w = pow(z, (p - 1) // d, p)
         if all(pow(w, d // r, p) != 1 for r in primes):
@@ -276,9 +276,10 @@ def root_constants(m: int, p: int) -> tuple[tuple[int, ...], dict[int, int]]:
             for _ in range(d - 1):
                 roots.append(roots[-1] * w % p)
             # z**t, t = p-1 over its ell-part (ell**bit_length exceeds p-1)
-            sylow = {ell: pow(z, (p - 1) // gcd(p - 1, ell ** p.bit_length()), p)
-                     for ell in primes}
-            return tuple(sorted(roots)), sylow
+            steps = tuple(
+                (ell, e, pow(z, (p - 1) // gcd(p - 1, ell ** p.bit_length()), p)
+                 if d % ell == 0 else None) for ell, e in powers)
+            return tuple(sorted(roots)), steps
     raise Error(f"could not find an element of order {d} modulo {p}")
 
 

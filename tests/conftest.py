@@ -1,7 +1,11 @@
+import builtins
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import ghcrypt
 from ghcrypt.cyclic import CyclicPublicKey, CyclicSecretKey
 from ghcrypt.freeprod import FactorFamily
 from ghcrypt.general import keygen_general
@@ -48,3 +52,21 @@ def sym3_keys():
 @pytest.fixture(scope="session")
 def z6_keys():
     return keygen_general(cyclic_group(6), 16, random.Random(66))
+
+
+@pytest.fixture
+def inverse_count(monkeypatch):
+    """A one-item list that counts every modular inverse the package takes
+    from here on: each pow with a modulus and a negative exponent, which is
+    also how ``numtheory.mod_inverse`` inverts."""
+    calls = [0]
+
+    def counting_pow(base, exp, mod=None):
+        if mod is not None and exp < 0:
+            calls[0] += 1
+        return builtins.pow(base, exp, mod)
+
+    for info in pkgutil.iter_modules(ghcrypt.__path__):
+        module = importlib.import_module(f"ghcrypt.{info.name}")
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    return calls

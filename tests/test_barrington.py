@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from ghcrypt.circuit import ArityMismatch, circuit_depth, eval_circuit, parse_circuit
+from ghcrypt.circuit import (And, ArityMismatch, Circuit, Const, Not, Or, circuit_depth,
+                             eval_circuit, parse_circuit)
 from ghcrypt.errors import FormatError
 from ghcrypt.barrington import (
     DEPTH_CAP,
@@ -193,3 +194,50 @@ class TestProgramFiles:
             parse_program("GPROG v1 sym0 2 1\n")  # no group of order 0
         with pytest.raises(TooLarge):
             parse_program("GPROG v1 z20000 1 1\n")  # beyond the table guard
+
+
+def blind_twin(circuit):
+    """The same formula with every OR turned into AND and every NOT removed
+    (a NOT's wire stands for its operand)."""
+    gates, where = [], []
+    for gate in circuit.gates:
+        match gate:
+            case Not(a):
+                where.append(where[a])
+                continue
+            case And(a, b) | Or(a, b):
+                gate = And(where[a], where[b])
+        where.append(len(gates))
+        gates.append(gate)
+    return Circuit(circuit.input_count, tuple(gates), where[circuit.output])
+
+
+def variables(circuit):
+    """The public part of a compiled instruction: its variable index."""
+    return tuple(v for _, v in compile_barrington(circuit, sym(5)).instructions)
+
+
+class TestVariableSequenceAudit:
+    """An encrypted program hides its elements but not its variable indices.
+    Over Sym(5) the indices show the formula's read order and, through a
+    trailing instruction on the always-true input, that its output is
+    negated; which gates are AND or OR, and the inner NOTs, they do not."""
+
+    @pytest.mark.parametrize("name", [f for f in FIXTURES if not f.startswith("const")])
+    def test_blind_twin_reads_the_same_variables(self, name):
+        circuit = fixture(name)
+        assert not any(isinstance(g, Const) for g in circuit.gates)
+        got, twin = variables(circuit), variables(blind_twin(circuit))
+        pseudo = circuit.input_count
+        assert got == twin or got == twin + (pseudo,), (got, twin)
+        # the always-true input appears only as the trailing instruction
+        assert pseudo not in got[:-1] and pseudo not in twin
+        assert (got != twin) == (name in ("nand2.bc", "not1.bc"))
+
+    def test_negated_output_shows(self):
+        assert blind_twin(fixture("nand2.bc")) == fixture("and2.bc")
+        assert variables(fixture("and2.bc")) == (0, 1, 0, 1)
+        assert variables(fixture("nand2.bc")) == (0, 1, 0, 1, 2)
+        assert blind_twin(fixture("not1.bc")) == fixture("identity.bc")
+        assert variables(fixture("identity.bc")) == (0,)
+        assert variables(fixture("not1.bc")) == (0, 1)

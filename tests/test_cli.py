@@ -226,6 +226,18 @@ class TestProtocols:
             assert rc == 1 and err.startswith("error:"), err
             assert "Traceback" not in err and out == ""
 
+    def test_protocol_input_word_cap(self, sym3_dir, tmp_path, capsys):
+        # 64 squarings: a domain error at the word cap, not a hang
+        gc = tmp_path / "squarings.gcirc"
+        gc.write_text("GCIRC v1\nINPUTS w0\n" + "".join(
+            f"w{k + 1} = MUL w{k} w{k}\n" for k in range(64)) + "OUTPUT w64\n")
+        rc, out, err = run(capsys, "protocol", "input",
+                           "--pk", str(sym3_dir / "pk.txt"),
+                           "--sk", str(sym3_dir / "sk.txt"),
+                           "--gcircuit", str(gc), "--inputs", "(1 2)", "--seed", "q")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: group circuit word passes"), err
+
     def test_missing_args(self, sym3_dir, capsys):
         rc, _, err = run(capsys, "protocol", "circuit",
                          "--pk", str(sym3_dir / "pk.txt"),

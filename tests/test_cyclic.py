@@ -26,6 +26,7 @@ from ghcrypt.cyclic import (
     parse_cyclic_pk,
     parse_cyclic_sk,
     random_unit,
+    transversal_characters,
 )
 from ghcrypt.errors import FormatError
 
@@ -263,7 +264,8 @@ class TestDecryptScan:
             outcomes.add(want if isinstance(want, type) else int)
         # every unit lies in the ciphertext group for odd m
         assert outcomes == {int, NotAUnit} | ({NotInImage} if m % 2 == 0 else set())
-        assert characters[0] == 1 and len(characters) <= m
+        assert characters[0] == pow(pk.transversal[0], (sk.p - 1) // m, sk.p)
+        assert len(characters) <= m
 
     @pytest.mark.parametrize("fixture", ["key35", "key77"])
     def test_first_match_when_two_entries_share_a_coset(self, fixture, request):
@@ -310,33 +312,26 @@ class TestDecryptScan:
         with pytest.raises(Error, match="internal keygen failure: bad transversal"):
             keygen_cyclic(m, 16, random.Random(m))
 
-    def test_inverse_transversal(self):
-        pk, _ = keygen_cyclic(6, 10, random.Random(77))
-        assert len(pk.inverse_transversal) == pk.m
-        assert all(r * r_inv % pk.n == 1
-                   for r, r_inv in zip(pk.transversal, pk.inverse_transversal))
-        # the batch inversion gives each entry's own inverse
-        for m in (2, 3, 4, 5, 6, 64):
-            pk, _ = keygen_cyclic(m, 16, random.Random(700 + m))
-            fresh = parse_cyclic_pk(format_cyclic_pk(pk))
-            assert fresh.inverse_transversal == tuple(
-                mod_inverse(r, pk.n) for r in pk.transversal)
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 64])
+    def test_transversal_characters_are_plain(self, m):
+        pk, sk = keygen_cyclic(m, 16, random.Random(700 + m))
+        want = [pow(r, (sk.p - 1) // m, sk.p) for r in pk.transversal]
+        assert transversal_characters(sk, pk) == want
+        assert len(set(want)) == m
 
-    def test_parsed_secret_key_decrypts_without_inversions(self, monkeypatch):
-        from ghcrypt import cyclic
+    def test_parsed_secret_key_decrypts_without_inversions(self, inverse_count):
+        from ghcrypt import numtheory
         pk, sk = keygen_cyclic(6, 16, random.Random(78))
         pk2 = parse_cyclic_pk(format_cyclic_pk(pk))
         sk2 = parse_cyclic_sk(format_cyclic_sk(sk), pk2)
         c = encrypt_cyclic(pk2, 5, random.Random(79))
-        calls = [0]
-
-        def counting_mod_inverse(*args):
-            calls[0] += 1
-            return mod_inverse(*args)
-
-        monkeypatch.setattr(cyclic, "mod_inverse", counting_mod_inverse)
+        inverse_count[0] = 0
         assert decrypt_cyclic(sk2, pk2, c) == 5
-        assert calls[0] == 0
+        assert len(set(transversal_characters(sk2, pk2))) == 6
+        assert inverse_count[0] == 0
+        # the counter sees mod_inverse as well
+        numtheory.mod_inverse(5, pk.n)
+        assert inverse_count[0] == 1
 
     def test_non_unit_and_jacobi_minus_one(self):
         for m in (2, 4, 6):
@@ -363,15 +358,18 @@ class TestDecryptScan:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 12, 64])
     def test_sylow_generators_have_full_order(self, m):
         _, sk = keygen_cyclic(m, 16, random.Random(f"sylow:{m}"))
-        primes = sorted(factorize(m))
-        # every prime of m divides p - 1; only 2, for even m, divides q - 1
-        assert sorted(sk.sylow[0]) == primes
-        assert sorted(sk.sylow[1]) == [2] * (m % 2 == 0)
-        for prime, generators in ((sk.p, sk.sylow[0]), (sk.q, sk.sylow[1])):
-            for ell, b in generators.items():
-                s = factorize(prime - 1)[ell]
-                assert pow(b, ell ** s, prime) == 1
-                assert pow(b, ell ** (s - 1), prime) != 1
+        powers = sorted(factorize(m).items())
+        for prime, steps in ((sk.p, sk.root_steps[0]), (sk.q, sk.root_steps[1])):
+            assert [(ell, e) for ell, e, _ in steps] == powers
+            # every prime of m divides p - 1; only 2, for even m, divides q - 1
+            with_generator = [ell for ell, _, b in steps if b is not None]
+            assert with_generator == ([ell for ell, _ in powers] if prime == sk.p
+                                      else [2] * (m % 2 == 0))
+            for ell, _, b in steps:
+                if b is not None:
+                    s = factorize(prime - 1)[ell]
+                    assert pow(b, ell ** s, prime) == 1
+                    assert pow(b, ell ** (s - 1), prime) != 1
         assert sk.p * sk.p_inv_q % sk.q == 1
 
 
@@ -430,6 +428,25 @@ class TestInverse:
             # R[1] times an m-th power has no m-th root, and draws nothing
             assert inverse_P_cyclic(sk, pk, power * pk.transversal[1], rng) is None
             assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 64])
+    def test_roots_factorize_nothing(self, monkeypatch, m):
+        # the prime powers of m come with the key, not with each root
+        from ghcrypt import numtheory
+        pk, sk = keygen_cyclic(m, 16, random.Random(f"factorize:{m}"))
+        calls = [0]
+
+        def counting_factorize(n):
+            calls[0] += 1
+            return factorize(n)
+
+        monkeypatch.setattr(numtheory, "factorize", counting_factorize)
+        rng = random.Random(m)
+        for _ in range(10):
+            power = pow(random_unit(pk.n, rng), m, pk.n)
+            assert pow(inverse_P_cyclic(sk, pk, power, rng), m, pk.n) == power
+            assert inverse_P_cyclic(sk, pk, power * pk.transversal[1], rng) is None
+        assert calls[0] == 0
 
     def test_root_property_random(self, key77):
         pk, sk = key77

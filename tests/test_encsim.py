@@ -1,11 +1,12 @@
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from ghcrypt.circuit import eval_circuit, parse_circuit
-from ghcrypt.errors import FormatError
+from ghcrypt.errors import Error, FormatError
 from ghcrypt.barrington import compile_barrington
 from ghcrypt.general import (
     GeneralCiphertext,
@@ -27,6 +28,7 @@ from ghcrypt.encsim import (
     InputAlice,
     InputBob,
     UnexpectedValue,
+    WORD_CAP,
     decrypt_output,
     encrypt_program,
     eval_encrypted,
@@ -69,6 +71,10 @@ def sym5_keys():
 
 
 SMALL = dict(phi_steps=3, psi_length=2)
+
+# a group circuit of 64 MUL lines, each squaring the line before
+SQUARINGS = "GCIRC v1\nINPUTS w0\n" + "".join(
+    f"w{k + 1} = MUL w{k} w{k}\n" for k in range(64)) + "OUTPUT w64\n"
 
 
 def or_and_chain(inputs):
@@ -218,6 +224,18 @@ class TestGroupCircuits:
                     "GCIRC v1\nINPUTSX y1 y2\nw = MUL y1 y2\nOUTPUT w\n"):
             with pytest.raises(FormatError):
                 parse_group_circuit(bad, H)
+
+    def test_squaring_chain_stops_at_the_word_cap(self, sym3_keys):
+        # 64 squarings would make Bob's word 2^64 times as long as Alice's
+        pk, sk = sym3_keys
+        circ = parse_group_circuit(SQUARINGS, pk.group)
+        text = InputAlice(sk, pk, (pk.group.element(3),), random.Random("cap:a")
+                          ).inputs_message()
+        bob = InputBob(pk, circ, random.Random("cap:b"))
+        start = time.perf_counter()
+        with pytest.raises(Error, match=f"group circuit word passes {WORD_CAP} letters"):
+            bob.evaluation_message(text)
+        assert time.perf_counter() - start < 1
 
     def bob_eval(self, pk, circ, words, rng):
         """Bob's evaluation over words, the circuit lifted to ciphertexts."""

@@ -615,20 +615,25 @@ class TestKeyFiles:
         c = encrypt_general(pk2, h, rng)
         assert decrypt_general(sk2, pk2, c).index == 1
 
-    def test_parsed_secret_key_decrypts_without_inversions(self, sym3_keys, monkeypatch):
+    def test_parsed_secret_key_decrypts_without_inversions(self, sym3_keys, inverse_count):
         pk, sk = sym3_keys
         pk2 = parse_general_pk(format_general_pk(pk))
         sk2 = parse_general_sk(format_general_sk(sk), pk2)
         c = encrypt_general(pk2, pk2.group.element(4), random.Random(51))
-        calls = [0]
-
-        def counting_mod_inverse(*args):
-            calls[0] += 1
-            return mod_inverse(*args)
-
-        monkeypatch.setattr(cyclic, "mod_inverse", counting_mod_inverse)
+        inverse_count[0] = 0
         assert decrypt_general(sk2, pk2, c).index == 4
-        assert calls[0] == 0
+        assert inverse_count[0] == 0
+
+    def test_modulus_mismatch_names_its_factor(self, sym3_keys):
+        # primes that fit factor i's order but belong to another modulus
+        pk, sk = sym3_keys
+        i = pk.family.count
+        _, other = cyclic.keygen_cyclic(pk.family.public(i).m, 16, random.Random(52))
+        lines = format_general_sk(sk).splitlines()
+        lines[i] = f"FACTOR {i} {other.p} {other.q}"
+        with pytest.raises(FormatError, match=f"^factor {i}: secret key does not "
+                                              "match the public modulus$"):
+            parse_general_sk("\n".join(lines) + "\n", pk)
 
     def test_bad_files(self, sym3_keys):
         pk, sk = sym3_keys

@@ -19,6 +19,7 @@ from ghcrypt.numtheory import (
     mth_root_mod_prime,
     mth_roots_of_unity,
     random_prime_congruent,
+    root_constants,
 )
 
 PRIMES_UNDER_100 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -228,27 +229,41 @@ def brute_force_roots(g: int, m: int, p: int) -> list[int]:
     return [x for x in range(1, p) if pow(x, m, p) == g % p]
 
 
+def root(g: int, m: int, p: int) -> int | None:
+    """mth_root_mod_prime with the root steps of (m, p)."""
+    return mth_root_mod_prime(g, p, root_constants(m, p)[1])
+
+
 class TestMthRoot:
     def test_identity_case(self):
         for m in (1, 2, 3, 4, 6):
-            assert pow(mth_root_mod_prime(1, m, 7), m, 7) == 1
+            assert pow(root(1, m, 7), m, 7) == 1
+
+    def test_steps_are_the_prime_powers_of_m(self):
+        for p in (2, *PRIMES_UNDER_100):
+            for m in range(1, 13):
+                steps = root_constants(m, p)[1]
+                assert [(ell, e) for ell, e, _ in steps] == sorted(factorize(m).items())
+                # a Sylow generator exactly where ell divides p - 1
+                assert all((b is None) == ((p - 1) % ell != 0) for ell, _, b in steps)
+                assert root(1, m, p) is not None
 
     def test_cube_example(self):
         # cubes mod 7 are {1, 6}; the cube roots of 6 are {3, 5, 6}
         oracle = brute_force_roots(6, 3, 7)
         assert oracle == [3, 5, 6]
-        assert mth_root_mod_prime(6, 3, 7) in oracle
+        assert root(6, 3, 7) in oracle
 
     def test_absent(self):
         assert brute_force_roots(2, 3, 7) == []
-        assert mth_root_mod_prime(2, 3, 7) is None
+        assert root(2, 3, 7) is None
 
     def test_exhaustive_small_primes(self):
         for p in PRIMES_UNDER_100:
             for m in (2, 3, 4, 5, 6):
                 for g in range(1, p):
                     oracle = brute_force_roots(g, m, p)
-                    got = mth_root_mod_prime(g, m, p)
+                    got = root(g, m, p)
                     if oracle:
                         assert got in oracle, (g, m, p)
                     else:
@@ -259,7 +274,7 @@ class TestMthRoot:
         p = 97  # 96 = 2^5 * 3
         for g in range(1, p):
             oracle = brute_force_roots(g, 8, p)
-            got = mth_root_mod_prime(g, 8, p)
+            got = root(g, 8, p)
             assert (got in oracle) if oracle else (got is None)
 
     def test_sampled_primes_to_ten_thousand(self):
@@ -270,7 +285,7 @@ class TestMthRoot:
             m = rng.choice([2, 3, 4, 5, 6])
             g = rng.randrange(1, p)
             oracle = set(brute_force_roots(g, m, p))
-            got = mth_root_mod_prime(g, m, p)
+            got = root(g, m, p)
             if oracle:
                 assert got in oracle
             else:
@@ -278,7 +293,7 @@ class TestMthRoot:
 
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
-            mth_root_mod_prime(0, 3, 7)
+            root(0, 3, 7)
 
 
 class TestRootsOfUnity:
