@@ -36,12 +36,17 @@ __all__ = [
     "parse_program",
     "SIZE_BASE",
     "DEPTH_CAP",
+    "BUILD_CAP",
 ]
 
 # compiled size is asserted against SIZE_BASE * 4**depth
 SIZE_BASE = 3
 # deeper circuits are rejected (DepthExceeded) before any instruction is built
 DEPTH_CAP = 12
+# so are circuits whose gates' programs before compaction pass this many
+# instructions in all (``_built_size``); a balanced depth-7 OR tree builds
+# 86,615, 43,689 of them at its output
+BUILD_CAP = 1 << 17
 
 
 class SolvableGroup(Error):
@@ -121,17 +126,47 @@ def _recode(H: FiniteGroup, instrs, c: int):
     return tuple((H.mul(H.mul(c, el), ci), var) for el, var in instrs)
 
 
+def _built_size(c: Circuit) -> int:
+    """The instructions ``compile_barrington`` builds before compaction,
+    summed over every gate (each is built, used or not), in one pass:
+    input 1, constant 0 or 1, NOT a + 1, AND 2(a + b), and OR 2(a + b) + 5
+    through its NOT/AND form."""
+    sizes: list[int] = []
+    for gate in c.gates:
+        match gate:
+            case Input(_):
+                size = 1
+            case Const(bit):
+                size = 1 if bit else 0
+            case Not(a):
+                size = sizes[a] + 1
+            case And(a, b):
+                size = 2 * (sizes[a] + sizes[b])
+            case Or(a, b):
+                size = 2 * (sizes[a] + sizes[b]) + 5
+            case _:
+                raise Error(f"unhandled gate {gate!r}")
+        sizes.append(size)
+    return sum(sizes)
+
+
 def compile_barrington(c: Circuit, H: FiniteGroup) -> GroupProgram:
     """Compile a circuit into a group program with target a fixed 5-cycle.
 
-    Program size is bounded by SIZE_BASE * 4**depth(c); depths beyond
-    DEPTH_CAP are rejected rather than silently truncated.
+    Program size is bounded by SIZE_BASE * 4**depth(c).  Depths beyond
+    DEPTH_CAP, and circuits that would build more than BUILD_CAP
+    instructions before compaction, are rejected before any instruction is
+    built rather than silently truncated.
     """
     if is_solvable(H):
         raise SolvableGroup(f"{H.name} is solvable")
     depth = circuit_depth(c)
     if depth > DEPTH_CAP:
         raise DepthExceeded(f"circuit depth {depth} exceeds cap {DEPTH_CAP}")
+    built = _built_size(c)
+    if built > BUILD_CAP:
+        raise Error(f"circuit builds {built} instructions before compaction, "
+                    f"more than the cap {BUILD_CAP}")
     sigma, tau = find_commutator_pair(H)
     alpha, beta = sigma.index, tau.index
     gamma = H.mul(H.mul(alpha, beta),

@@ -36,10 +36,12 @@ Every entry lies in G(n, m), so for even m equal characters mod p force
 equal Legendre symbols mod q, and distinct characters hold exactly when
 each R[i] decrypts to i; the public key alone cannot tell.
 ``inverse_P_cyclic``'s constants come with the secret key
-(``CyclicSecretKey.from_primes``), by one scan per prime
-(``numtheory.root_constants``): the m-th roots of unity, the steps of a
-root (the prime powers of m with their Sylow generators), and p^-1 mod q.
-A root extraction draws only two roots of unity: a fixed root times
+(``CyclicSecretKey.from_primes``, which factorizes m once), by one scan
+per prime (``numtheory.root_constants``): the m-th roots of unity, the
+steps of a root (per prime power ell^e of m its exponent, Sylow generator
+and digit table), and p^-1 mod q.  A root then costs, per step and
+prime, one full-size power, s = v_ell(p-1) digit steps of small powers
+and no inverse.  It draws only two roots of unity: a fixed root times
 uniform roots of unity on each side is a uniform root.
 """
 
@@ -143,7 +145,8 @@ class CyclicSecretKey:
         m_prime = gcd(m, q - 1)
         if m_prime != gcd(m, 2):
             raise ValueError(f"q = {q} violates gcd(m, q-1) = gcd(m, 2)")
-        unity, steps = zip(root_constants(m, p), root_constants(m, q))
+        powers = factorize(m)
+        unity, steps = zip(root_constants(powers, p), root_constants(powers, q))
         return cls(p=p, q=q, m=m, m_prime=m_prime, exp_p=(p - 1) // m,
                    roots_of_unity=unity, root_steps=steps, p_inv_q=pow(p, -1, q))
 

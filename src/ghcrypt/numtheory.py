@@ -8,7 +8,8 @@ All values are plain Python integers; residues are kept canonical
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, prod
+from typing import NamedTuple
 
 from .errors import Error
 
@@ -183,52 +184,55 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-# one step of an m-th root: a prime power ell**e of m and a generator of
-# the ell-Sylow subgroup mod p, or None when ell does not divide p - 1
-RootStep = tuple[int, int, int | None]
+class RootStep(NamedTuple):
+    """The constants of one step of an m-th root mod p: an ell**e-th root,
+    for a prime power ell**e of m.
 
-
-def _sylow_dlog(value: int, base: int, ell: int, s: int, p: int) -> int:
-    """Discrete log of ``value`` to ``base`` inside the cyclic ell-subgroup.
-
-    ``base`` must have order ell**s mod p and ``value`` must lie in the
-    subgroup it generates.  Pohlig-Hellman digit extraction; the per-digit
-    search is linear in ell, which is fine for the small exponents used here.
+    ``s`` is v_ell(p - 1) and t = (p - 1) / ell**s, and ``exponent`` is
+    u - 1 mod p - 1 for u = (ell**e)^-1 mod t.  When s > 0, ``b``
+    generates the ell-Sylow subgroup mod p (order ell**s, so b**-x is
+    b**(ell**s - x)) and ``digits`` maps each ell-th root of 1 to its
+    discrete log to the base b**(ell**(s-1)); both are None when s = 0.
     """
-    result, base_inv = 0, pow(base, -1, p)
-    gamma = pow(base, ell ** (s - 1), p)
-    digits = [pow(gamma, i, p) for i in range(ell)]  # the ell-th roots of 1
+
+    ell: int
+    e: int
+    s: int
+    exponent: int
+    b: int | None
+    digits: dict[int, int] | None
+
+
+def _prime_power_root(a: int, p: int, step: RootStep) -> int | None:
+    """One solution of x**(ell**e) = a (mod p), or None if there is none.
+
+    One full-size power, r = a**(u-1).  x0 = a*r = a**u is a root up to
+    the defect x0**(ell**e) / a = r**(ell**e) * a**(ell**e - 1), which lies
+    in the ell-Sylow subgroup (u * ell**e = 1 mod t); when s = 0 that
+    subgroup is trivial and x0 is the root.  Otherwise s digit steps read
+    the defect's discrete log to b (Pohlig-Hellman): a root exists exactly
+    when ell**min(e, s) divides it, and x0 * b**j is one for
+    j * ell**e = -log (mod ell**s).  No inverse is taken.
+    """
+    ell, e, s, exponent, b, digits = step
+    r = pow(a, exponent, p)
+    x = a * r % p
+    if not s:
+        return x
+    power = ell ** e
+    defect = pow(r, power, p) * pow(a, power - 1, p) % p
+    c, log = min(e, s), 0
     for k in range(s):
-        w = pow(value * pow(base_inv, result, p) % p, ell ** (s - 1 - k), p)
-        if w not in digits:
-            raise Error("value is not in the expected cyclic subgroup")
-        result += digits.index(w) * ell ** k
-    return result
-
-
-def _prime_power_root(a: int, ell: int, e: int, p: int, b: int | None) -> int | None:
-    """One solution of x**(ell**e) = a (mod p), or None if there is none;
-    ``b`` generates the ell-Sylow subgroup mod p (unread unless ell | p-1)."""
-    order = p - 1
-    t, s = order, 0
-    while t % ell == 0:
-        t //= ell
-        s += 1
-    if s == 0:
-        # the power map is a bijection; invert the exponent
-        return pow(a, pow(ell ** e, -1, order), p)
-    c = min(e, s)
-    if pow(a, order // ell ** c, p) != 1:
-        return None
-    # split off the part of the root outside the ell-subgroup (1 if t = 1)
-    x0 = pow(a, pow(ell ** e, -1, t), p)
-    defect = pow(x0, ell ** e, p) * pow(a, -1, p) % p
-    # x0 * b**j is a root when j * ell**e = -edl (mod ell**s)
-    edl = _sylow_dlog(defect, b, ell, s, p)
-    if edl % ell ** c != 0:
-        raise Error("m-th root solvability check disagrees with dlog")
-    x = x0 * pow(b, -(edl // ell ** c) % ell ** (s - c), p) % p
-    if pow(x, ell ** e, p) != a % p:
+        digit = digits.get(pow(defect, ell ** (s - 1 - k), p))
+        if digit is None:
+            raise Error("defect is not in the ell-Sylow subgroup")
+        if digit:
+            if k < c:
+                return None  # ell**c does not divide the log
+            log += digit * ell ** k
+            defect = defect * pow(b, ell ** s - digit * ell ** k, p) % p
+    x = x * pow(b, -(log // ell ** c) % ell ** (s - c), p) % p
+    if pow(x, power, p) != a:
         raise Error("internal root extraction failure")
     return x
 
@@ -236,53 +240,65 @@ def _prime_power_root(a: int, ell: int, e: int, p: int, b: int | None) -> int | 
 def mth_root_mod_prime(g: int, p: int, steps: tuple[RootStep, ...]) -> int | None:
     """Some x with x**m = g (mod p), or None when no root exists.
 
-    ``steps`` are the prime powers of m with their Sylow generators, the
-    second half of ``root_constants(m, p)``; one prime power at a time
-    (Adleman-Manders-Miller style), and the root depends on the arguments
-    alone.
+    ``steps`` are the second half of ``root_constants(factorize(m), p)``:
+    one ell**e-th root per prime power of m (Adleman-Manders-Miller), each
+    one full-size power mod p, s = v_ell(p - 1) digit steps of small powers
+    and no inverse.  The root depends on the arguments alone.
     """
     g %= p
     if g == 0:
         raise NotAUnit(f"{g} is not a unit modulo {p}")
-    for ell, e, b in steps:
-        g = _prime_power_root(g, ell, e, p, b)
+    for step in steps:
+        g = _prime_power_root(g, p, step)
         if g is None:
             return None
     return g
 
 
-def root_constants(m: int, p: int) -> tuple[tuple[int, ...], tuple[RootStep, ...]]:
-    """The sorted m-th roots of unity mod p, and the steps of an m-th root:
-    each prime power ell**e of m, ascending, with a generator of the
-    ell-Sylow subgroup mod p (None unless ell divides d = gcd(m, p-1)).
+def root_constants(powers: dict[int, int], p: int
+                   ) -> tuple[tuple[int, ...], tuple[RootStep, ...]]:
+    """The sorted m-th roots of unity mod p, and the steps of an m-th root
+    (``RootStep``, one per prime power ell**e of m, ascending); ``powers``
+    is m's factorization {ell: e}, as ``factorize`` gives it.
 
-    One scan finds the least z >= 2 whose ((p-1)/d)-th power w has order d:
-    the roots are the powers of w, and as z is no ell-th power, z**t (t the
-    part of p-1 prime to ell) has order ell**v_ell(p-1).
+    One scan finds the least z >= 2 whose ((p-1)/d)-th power w has order
+    d = gcd(m, p-1): the roots are the powers of w, and as z is no ell-th
+    power, z**t has order ell**s, so it is the step's Sylow generator b.
+    A root then costs one full-size power per step, s digit steps and no
+    inverse (``mth_root_mod_prime``).
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
     if p < 2:
         raise ValueError("p must be prime")
-    powers = sorted(factorize(m).items())
-    d = gcd(m, p - 1)
+    d = gcd(prod(ell ** e for ell, e in powers.items()), p - 1)
     if d == 1:
-        return (1,), tuple((ell, e, None) for ell, e in powers)
-    primes = [ell for ell, _ in powers if d % ell == 0]
+        return (1,), tuple(_root_step(ell, e, p, 1) for ell, e in powers.items())
+    primes = [ell for ell in powers if d % ell == 0]
     for z in range(2, min(p, 1 << 20)):
         w = pow(z, (p - 1) // d, p)
         if all(pow(w, d // r, p) != 1 for r in primes):
             roots = [1]
             for _ in range(d - 1):
                 roots.append(roots[-1] * w % p)
-            # z**t, t = p-1 over its ell-part (ell**bit_length exceeds p-1)
-            steps = tuple(
-                (ell, e, pow(z, (p - 1) // gcd(p - 1, ell ** p.bit_length()), p)
-                 if d % ell == 0 else None) for ell, e in powers)
-            return tuple(sorted(roots)), steps
+            return (tuple(sorted(roots)),
+                    tuple(_root_step(ell, e, p, z) for ell, e in powers.items()))
     raise Error(f"could not find an element of order {d} modulo {p}")
+
+
+def _root_step(ell: int, e: int, p: int, z: int) -> RootStep:
+    """The step of an ell**e-th root mod p; z is no ell-th power mod p
+    (unread when ell does not divide p - 1)."""
+    t, s = p - 1, 0
+    while t % ell == 0:
+        t //= ell
+        s += 1
+    exponent = (pow(ell ** e, -1, t) - 1) % (p - 1)
+    if not s:
+        return RootStep(ell, e, 0, exponent, None, None)
+    b = pow(z, t, p)
+    gamma = pow(b, ell ** (s - 1), p)
+    return RootStep(ell, e, s, exponent, b, {pow(gamma, i, p): i for i in range(ell)})
 
 
 def mth_roots_of_unity(m: int, p: int) -> list[int]:
     """All x mod p with x**m = 1, sorted.  The list has gcd(m, p-1) entries."""
-    return list(root_constants(m, p)[0])
+    return list(root_constants(factorize(m), p)[0])

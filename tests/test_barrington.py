@@ -1,13 +1,15 @@
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from ghcrypt.circuit import (And, ArityMismatch, Circuit, Const, Not, Or, circuit_depth,
                              eval_circuit, parse_circuit)
-from ghcrypt.errors import FormatError
+from ghcrypt.errors import Error, FormatError
 from ghcrypt.barrington import (
+    BUILD_CAP,
     DEPTH_CAP,
     SIZE_BASE,
     DepthExceeded,
@@ -96,6 +98,20 @@ class TestCompile:
         # an even number of NOTs compacts to the identity's one instruction
         assert len(compile_barrington(not_chain(DEPTH_CAP), sym(5))) == 1
 
+    def test_build_cap(self):
+        # a balanced depth-7 OR tree builds 86,615 instructions before
+        # compaction; depth 12 would build 44.7M, and raises before building
+        assert len(compile_barrington(balanced_tree(7, "OR"), sym(5))) == 4 ** 7
+        start = time.perf_counter()
+        with pytest.raises(Error, match="before compaction"):
+            compile_barrington(balanced_tree(12, "AND", "OR"), sym(5))
+        assert time.perf_counter() - start < 1
+        # every gate is built, so one that does not reach the output counts
+        deep = balanced_tree_text(8, "OR").replace("OUTPUT g255", "OUTPUT x0")
+        assert deep.endswith("OUTPUT x0\n")
+        with pytest.raises(Error, match=f"more than the cap {BUILD_CAP}"):
+            compile_barrington(parse_circuit(deep), sym(5))
+
     def test_recoding_soundness(self):
         # conjugating all instructions and the target by a fixed element
         # preserves the simulation
@@ -118,6 +134,23 @@ class TestCompile:
 def not_chain(depth):
     gates = "".join(f"w{i + 1} = NOT w{i}\n" for i in range(depth))
     return parse_circuit(f"INPUTS w0\n{gates}OUTPUT w{depth}\n")
+
+
+def balanced_tree_text(depth, *ops):
+    """A balanced tree of 2**depth inputs whose level k from the inputs
+    takes the gate ``ops[k % len(ops)]``; its output is g(2**depth - 1)."""
+    level = [f"x{k}" for k in range(2 ** depth)]
+    lines = ["INPUTS " + " ".join(level)]
+    for k in range(depth):
+        names = [f"g{len(lines) + j}" for j in range(len(level) // 2)]
+        lines += [f"{name} = {ops[k % len(ops)]} {a} {b}"
+                  for name, a, b in zip(names, level[::2], level[1::2])]
+        level = names
+    return "\n".join(lines + [f"OUTPUT {level[0]}"]) + "\n"
+
+
+def balanced_tree(depth, *ops):
+    return parse_circuit(balanced_tree_text(depth, *ops))
 
 
 def or_and_chain(inputs):

@@ -179,6 +179,18 @@ class TestCompileSimulate:
                          "--group", "sym3")
         assert rc == 1 and "error" in err
 
+    def test_compile_build_cap(self, tmp_path, capsys):
+        # a depth-12 AND/OR tree whose two halves share one gate per level:
+        # a domain error before building
+        circuit = tmp_path / "tree12.bc"
+        circuit.write_text("INPUTS x\ng0 = AND x x\n" + "".join(
+            f"g{k} = {'OR' if k % 2 else 'AND'} g{k - 1} g{k - 1}\n"
+            for k in range(1, 12)) + "OUTPUT g11\n")
+        rc, out, err = run(capsys, "compile", "--circuit", str(circuit),
+                           "--group", "sym5")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: circuit builds"), err
+
 
 class TestProtocols:
     def test_protocol_circuit(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from ghcrypt.numtheory import (ExhaustedRetries, NotAUnit, factorize, jacobi,
-                               mod_inverse, mth_roots_of_unity)
+                               mod_inverse, mth_root_mod_prime, mth_roots_of_unity)
 from ghcrypt.cyclic import (
     BadOrder,
     CyclicCiphertext,
@@ -360,16 +360,17 @@ class TestDecryptScan:
         _, sk = keygen_cyclic(m, 16, random.Random(f"sylow:{m}"))
         powers = sorted(factorize(m).items())
         for prime, steps in ((sk.p, sk.root_steps[0]), (sk.q, sk.root_steps[1])):
-            assert [(ell, e) for ell, e, _ in steps] == powers
+            assert [(st.ell, st.e) for st in steps] == powers
             # every prime of m divides p - 1; only 2, for even m, divides q - 1
-            with_generator = [ell for ell, _, b in steps if b is not None]
+            with_generator = [st.ell for st in steps if st.b is not None]
             assert with_generator == ([ell for ell, _ in powers] if prime == sk.p
                                       else [2] * (m % 2 == 0))
-            for ell, _, b in steps:
-                if b is not None:
-                    s = factorize(prime - 1)[ell]
-                    assert pow(b, ell ** s, prime) == 1
-                    assert pow(b, ell ** (s - 1), prime) != 1
+            for st in steps:
+                if st.b is not None:
+                    s = factorize(prime - 1)[st.ell]
+                    assert st.s == s
+                    assert pow(st.b, st.ell ** s, prime) == 1
+                    assert pow(st.b, st.ell ** (s - 1), prime) != 1
         assert sk.p * sk.p_inv_q % sk.q == 1
 
 
@@ -447,6 +448,38 @@ class TestInverse:
             assert pow(inverse_P_cyclic(sk, pk, power, rng), m, pk.n) == power
             assert inverse_P_cyclic(sk, pk, power * pk.transversal[1], rng) is None
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("m, bits", [(64, 256), (6, 32)])
+    def test_one_full_size_power_per_step(self, monkeypatch, m, bits):
+        # a power is full-size when its exponent has at least half the
+        # modulus's bits; a root makes one per prime power of m and side
+        from ghcrypt import numtheory
+        pk, sk = keygen_cyclic(m, bits, random.Random(f"powers:{m}"))
+        calls = []
+
+        def counting(base, exp, mod=None):
+            calls.append((exp, mod))
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(numtheory, "pow", counting, raising=False)
+        rng = random.Random(m)
+        for prime, steps in zip((sk.p, sk.q), sk.root_steps):
+            # t > 1 in every step, so no exponent is negative
+            assert all(prime - 1 != st.ell ** st.s for st in steps)
+            for k in range(40):
+                g = random_unit(pk.n, rng) % prime
+                if k % 2 == 0:
+                    g = pow(g, m, prime)
+                calls.clear()
+                x = mth_root_mod_prime(g, prime, steps)
+                full = sum(exp >= 0 and exp.bit_length() >= mod.bit_length() // 2
+                           for exp, mod in calls)
+                if x is None:
+                    assert k % 2 and 1 <= full <= len(steps)
+                else:
+                    assert pow(x, m, prime) == g
+                    assert full == len(steps), calls
+                assert all(exp >= 0 for exp, _ in calls)
 
     def test_root_property_random(self, key77):
         pk, sk = key77

@@ -231,7 +231,7 @@ def brute_force_roots(g: int, m: int, p: int) -> list[int]:
 
 def root(g: int, m: int, p: int) -> int | None:
     """mth_root_mod_prime with the root steps of (m, p)."""
-    return mth_root_mod_prime(g, p, root_constants(m, p)[1])
+    return mth_root_mod_prime(g, p, root_constants(factorize(m), p)[1])
 
 
 class TestMthRoot:
@@ -242,10 +242,18 @@ class TestMthRoot:
     def test_steps_are_the_prime_powers_of_m(self):
         for p in (2, *PRIMES_UNDER_100):
             for m in range(1, 13):
-                steps = root_constants(m, p)[1]
-                assert [(ell, e) for ell, e, _ in steps] == sorted(factorize(m).items())
-                # a Sylow generator exactly where ell divides p - 1
-                assert all((b is None) == ((p - 1) % ell != 0) for ell, _, b in steps)
+                steps = root_constants(factorize(m), p)[1]
+                assert [(st.ell, st.e) for st in steps] == sorted(factorize(m).items())
+                for st in steps:
+                    s = factorize(p - 1).get(st.ell, 0)
+                    t = (p - 1) // st.ell ** s
+                    assert st.s == s
+                    assert st.exponent == (pow(st.ell ** st.e, -1, t) - 1) % (p - 1)
+                    # a Sylow generator exactly where ell divides p - 1
+                    assert (st.b is None) == (s == 0)
+                    if s:
+                        assert sorted(st.digits.values()) == list(range(st.ell))
+                        assert all(pow(w, st.ell, p) == 1 for w in st.digits)
                 assert root(1, m, p) is not None
 
     def test_cube_example(self):
@@ -259,15 +267,29 @@ class TestMthRoot:
         assert root(2, 3, 7) is None
 
     def test_exhaustive_small_primes(self):
-        for p in PRIMES_UNDER_100:
-            for m in (2, 3, 4, 5, 6):
+        # every case of a step, s = v_ell(p - 1) = 0, < e, = e and > e, with
+        # and without t = (p - 1) / ell**s = 1 (p = 3, 5, 17 and 257 for
+        # ell = 2, where u = 0)
+        cases = set()
+        for p in (2, *odd_primes_below(130), 257):
+            for m in (2, 3, 4, 5, 6, 8, 12, 16, 64):
+                steps = root_constants(factorize(m), p)[1]
+                for st in steps:
+                    order = ("s=0" if st.s == 0 else "s<e" if st.s < st.e
+                             else "s=e" if st.s == st.e else "s>e")
+                    cases.add((order, p - 1 == st.ell ** st.s))
+                roots: dict[int, set[int]] = {}
+                for x in range(1, p):
+                    roots.setdefault(pow(x, m, p), set()).add(x)
                 for g in range(1, p):
-                    oracle = brute_force_roots(g, m, p)
-                    got = root(g, m, p)
-                    if oracle:
-                        assert got in oracle, (g, m, p)
+                    got = mth_root_mod_prime(g, p, steps)
+                    if g in roots:
+                        assert got in roots[g], (g, m, p)
                     else:
                         assert got is None, (g, m, p)
+        # the second entry is t = 1
+        assert {("s=0", False), ("s<e", False), ("s=e", False), ("s>e", False),
+                ("s<e", True), ("s=e", True), ("s>e", True)} <= cases
 
     def test_large_prime_power_modulus(self):
         # 2-adic valuation of p-1 is 5 here; exercises the correction walk
