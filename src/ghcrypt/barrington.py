@@ -43,9 +43,9 @@ __all__ = [
 SIZE_BASE = 3
 # deeper circuits are rejected (DepthExceeded) before any instruction is built
 DEPTH_CAP = 12
-# so are circuits whose gates' programs before compaction pass this many
-# instructions in all (``_built_size``); a balanced depth-7 OR tree builds
-# 86,615, 43,689 of them at its output
+# so are circuits whose output's cone builds more than this many
+# instructions before compaction, summed over its gates (``_built_size``); a
+# balanced depth-7 OR tree builds 86,615, 43,689 of them at its output
 BUILD_CAP = 1 << 17
 
 
@@ -126,14 +126,29 @@ def _recode(H: FiniteGroup, instrs, c: int):
     return tuple((H.mul(H.mul(c, el), ci), var) for el, var in instrs)
 
 
-def _built_size(c: Circuit) -> int:
+def _cone(c: Circuit) -> list[int]:
+    """The gates the output depends on, in circuit order, marked in one
+    reverse pass; no other gate is sized or built."""
+    used = [False] * (c.output + 1)
+    used[c.output] = True
+    for i in range(c.output, -1, -1):
+        if used[i]:
+            match c.gates[i]:
+                case Not(a):
+                    used[a] = True
+                case And(a, b) | Or(a, b):
+                    used[a] = used[b] = True
+    return [i for i, u in enumerate(used) if u]
+
+
+def _built_size(c: Circuit, cone: list[int]) -> int:
     """The instructions ``compile_barrington`` builds before compaction,
-    summed over every gate (each is built, used or not), in one pass:
-    input 1, constant 0 or 1, NOT a + 1, AND 2(a + b), and OR 2(a + b) + 5
-    through its NOT/AND form."""
-    sizes: list[int] = []
-    for gate in c.gates:
-        match gate:
+    summed over the output's cone, in one pass: input 1, constant 0 or 1,
+    NOT a + 1, AND 2(a + b), and OR 2(a + b) + 5 through its NOT/AND
+    form."""
+    sizes = [0] * (c.output + 1)
+    for i in cone:
+        match c.gates[i]:
             case Input(_):
                 size = 1
             case Const(bit):
@@ -144,26 +159,28 @@ def _built_size(c: Circuit) -> int:
                 size = 2 * (sizes[a] + sizes[b])
             case Or(a, b):
                 size = 2 * (sizes[a] + sizes[b]) + 5
-            case _:
+            case gate:
                 raise Error(f"unhandled gate {gate!r}")
-        sizes.append(size)
+        sizes[i] = size
     return sum(sizes)
 
 
 def compile_barrington(c: Circuit, H: FiniteGroup) -> GroupProgram:
     """Compile a circuit into a group program with target a fixed 5-cycle.
 
-    Program size is bounded by SIZE_BASE * 4**depth(c).  Depths beyond
-    DEPTH_CAP, and circuits that would build more than BUILD_CAP
-    instructions before compaction, are rejected before any instruction is
-    built rather than silently truncated.
+    Only the gates the output depends on are built, so a gate outside its
+    cone costs nothing.  Program size is bounded by SIZE_BASE *
+    4**depth(c).  Depths beyond DEPTH_CAP, and circuits whose output would
+    build more than BUILD_CAP instructions before compaction, are rejected
+    before any instruction is built rather than silently truncated.
     """
     if is_solvable(H):
         raise SolvableGroup(f"{H.name} is solvable")
     depth = circuit_depth(c)
     if depth > DEPTH_CAP:
         raise DepthExceeded(f"circuit depth {depth} exceeds cap {DEPTH_CAP}")
-    built = _built_size(c)
+    cone = _cone(c)
+    built = _built_size(c, cone)
     if built > BUILD_CAP:
         raise Error(f"circuit builds {built} instructions before compaction, "
                     f"more than the cap {BUILD_CAP}")
@@ -191,9 +208,9 @@ def compile_barrington(c: Circuit, H: FiniteGroup) -> GroupProgram:
         return (_recode(H, left, to_alpha) + _recode(H, right, to_beta)
                 + _recode(H, left, to_ialpha) + _recode(H, right, to_ibeta))
 
-    programs: list[tuple[tuple[int, int], ...]] = []
-    for gate in c.gates:
-        match gate:
+    programs: list[tuple[tuple[int, int], ...]] = [()] * (c.output + 1)
+    for i in cone:
+        match c.gates[i]:
             case Input(index):
                 instrs: tuple = ((gamma, index),)
             case Const(bit):
@@ -204,9 +221,9 @@ def compile_barrington(c: Circuit, H: FiniteGroup) -> GroupProgram:
                 instrs = and_(programs[a], programs[b])
             case Or(a, b):
                 instrs = not_(and_(not_(programs[a]), not_(programs[b])))
-            case _:
+            case gate:
                 raise Error(f"unhandled gate {gate!r}")
-        programs.append(instrs)
+        programs[i] = instrs
     result = GroupProgram(group=H, instructions=_compact(H, programs[c.output], pseudo),
                           target=gamma, input_count=c.input_count)
     bound = SIZE_BASE * 4 ** depth

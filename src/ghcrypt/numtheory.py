@@ -63,7 +63,10 @@ def mod_inverse(a: int, modulus: int) -> int:
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1.
 
-    Returns 0 exactly when gcd(a, n) > 1.
+    Returns 0 exactly when gcd(a, n) > 1.  Each step costs one remainder
+    n % a, its only division, and for an even a one shift that strips all
+    its factors of 2; the signs come off the low bits: (2/n) = -1 for
+    n = 3, 5 (mod 8), and reciprocity flips for a = n = 3 (mod 4).
     """
     if n < 1 or n % 2 == 0:
         raise EvenModulus(f"Jacobi symbol undefined for modulus {n}")
@@ -72,14 +75,14 @@ def jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+        if not a & 1:
+            z = (a & -a).bit_length() - 1
+            a >>= z
+            if z & 1 and n & 7 in (3, 5):
                 result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if 2 & a & n:
             result = -result
-        a %= n
+        a, n = n % a, a
     return result if n == 1 else 0
 
 

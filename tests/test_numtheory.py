@@ -107,6 +107,44 @@ class TestJacobi:
             for a in range(p):
                 assert jacobi(a, p) == euler_character(a, p)
 
+    def test_exhaustive_small_moduli(self):
+        # every odd n < 400, prime powers included, against the product of
+        # Euler characters over n's factorization with multiplicity
+        for n in range(1, 400, 2):
+            factors = factorize(n)
+            for a in range(n):
+                want = 1
+                for p, e in factors.items():
+                    want *= euler_character(a, p) ** e
+                assert jacobi(a, n) == want, (a, n)
+
+    def test_large_moduli_and_powers_of_two(self):
+        # moduli across CPython's 30-bit digit boundaries, with n = 1, 3, 5
+        # and 7 (mod 8) each met by odd and even counts of factors of 2 in a
+        rng = random.Random(25)
+        sizes = (31, 32, 61, 64, 128, 256)
+        for p_bits, q_bits in zip(sizes, sizes[1:] + sizes[:1]):
+            for residue in (1, 3, 5, 7):
+                p = random_prime_congruent(p_bits, 3, 8, rng)
+                q = random_prime_congruent(q_bits, 3 * residue, 8, rng)
+                n = p * q
+                assert n % 8 == residue
+                for k in range(9):
+                    a = 2 ** k * rng.randrange(1, n)
+                    for b in (a, a % n, a + n, a + 7 * n):
+                        assert jacobi(b, n) == euler_character(b, p) * euler_character(b, q)
+                assert jacobi(0, n) == 0
+                assert jacobi(n, n) == 0
+        for a in (0, 1, 2, 2 ** 300):
+            assert jacobi(a, 1) == 1
+
+    @given(st.integers(0, 2 ** 1099 - 1), st.integers(0, 2 ** 1100),
+           st.integers(0, 2 ** 1100))
+    def test_multiplicative_and_periodic(self, k, a, b):
+        n = 2 * k + 1
+        assert jacobi(a * b % n, n) == jacobi(a, n) * jacobi(b, n)
+        assert jacobi(a + n, n) == jacobi(a, n)
+
 
 class TestPrimality:
     def test_examples(self):
