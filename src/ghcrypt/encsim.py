@@ -31,6 +31,7 @@ from .general import (
     GeneralCiphertext,
     GeneralPublicKey,
     GeneralSecretKey,
+    _encrypt_words,
     decrypt_general,
     decrypt_general_text,
     encrypt_general,
@@ -91,13 +92,15 @@ class EncryptedProgram:
 def encrypt_program(pk: GeneralPublicKey, p: GroupProgram, rng: random.Random, *,
                     phi_steps: int | None = None,
                     psi_length: int | None = None) -> EncryptedProgram:
-    """Encrypt each instruction element independently."""
+    """Encrypt each instruction element independently: the words and the
+    rng state of one ``encrypt_general`` per instruction, in order, from
+    one ``general._encrypt_words`` call, at one modular inverse per factor
+    for the whole program."""
     if p.group is not pk.group:
         raise GroupMismatch("program group differs from the key group")
-    instructions = tuple(
-        (encrypt_general(pk, pk.group.element(element), rng,
-                         phi_steps=phi_steps, psi_length=psi_length).word, var)
-        for element, var in p.instructions)
+    elements = [pk.group.element(element) for element, _ in p.instructions]
+    words = _encrypt_words(pk, elements, rng, phi_steps, psi_length)
+    instructions = tuple(zip(words, (var for _, var in p.instructions)))
     return EncryptedProgram(pk=pk, instructions=instructions,
                             target=p.target, input_count=p.input_count)
 
@@ -363,13 +366,11 @@ class InputAlice:
         self.phi_steps, self.psi_length = phi_steps, psi_length
 
     def inputs_message(self) -> str:
-        lines = []
-        for y in self.inputs:
-            word = encrypt_general(self.pk, y, self.rng,
-                                   phi_steps=self.phi_steps,
-                                   psi_length=self.psi_length).word
-            lines.append(format_gword(word))
-        return "\n".join(lines) + "\n"
+        """One word per input, as ``encrypt_general`` would draw them in
+        turn, from one ``general._encrypt_words`` call."""
+        words = _encrypt_words(self.pk, self.inputs, self.rng,
+                               self.phi_steps, self.psi_length)
+        return "\n".join(map(format_gword, words)) + "\n"
 
     def decrypt_message(self, word_text: str) -> tuple[str, GroupElement]:
         h = decrypt_general_text(self.sk, self.pk, word_text)

@@ -47,6 +47,15 @@ oracle for the factors (the rotation recursion), and ``p_psi``/``combined_P``
 complete the proof system used by the general cryptosystem.
 ``general.sample_A`` draws a pair of the same tuples, and
 ``general.encrypt_general`` evaluates it in one ``normalize`` pass.
+Each step of a phi witness puts a letter x and its inverse x^-1 around the
+word.  The sampler defers the inverses: it draws every witness of a call
+first, keeping the x values of each factor on one list, then inverts each
+list with one ``pow(., -1, n_i)`` by Montgomery's trick
+(``_invert_pending``).  So a call costs at most one modular inverse per
+factor, whether it samples one witness or, through
+``general._encrypt_words``, every witness of an encrypted program;
+inversion draws nothing from the rng, so the words are those of inverting
+each x on its own.
 
 A :class:`FactorFamily` is public data: the calls that need trapdoors
 (``phi_map``, ``trapdoor_oracle``) take the factor secret keys.
@@ -346,11 +355,14 @@ def psi_map(k: KWord, H: FiniteGroup) -> GroupElement:
 # kernel witnesses for phi
 
 def _phi_letters(factors: tuple[CyclicPublicKey, ...],
-                 triples: Iterable[tuple[int, int, bool]]) -> list[tuple[int, int]]:
-    """The raw letters ``p_phi`` normalizes, unchecked, of (factor, value,
-    is_a0) triples: each preimage letter raised to its factor order, each
-    plain letter as it is."""
-    return [(i, pow(v, (pk := factors[i - 1]).m, pk.n) if a0 else v)
+                 triples: Iterable[tuple[int, int, bool | None]],
+                 inverses: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The raw letters, unchecked, of sampled (factor, value, is_a0)
+    triples: each preimage letter raised to its factor order, each deferred
+    x^-1 letter (i, k, None) read as ``inverses[i-1][k]``, each plain letter
+    as it is."""
+    return [(i, inverses[i - 1][v] if a0 is None
+             else pow(v, (pk := factors[i - 1]).m, pk.n) if a0 else v)
             for i, v, a0 in triples]
 
 
@@ -367,13 +379,17 @@ def p_phi(family: FactorFamily,
     symbol is needed.  A plain letter must be an element of its factor
     group written as a residue (``cyclic.in_group_G``).
     """
+    letters = []
     for i, v, a0 in witness:
         pk = family.public(i)  # range-checks i
         if not a0:
             _check_letter(pk, i, v)
         elif gcd(v, pk.n) != 1:
             raise LetterOutOfGroup(f"{v} is not a unit modulo {pk.n} (factor {i})")
-    return normalize(family, _phi_letters(family.factors, witness))
+        else:
+            v = pow(v, pk.m, pk.n)
+        letters.append((i, v))
+    return normalize(family, letters)
 
 
 def random_nonkernel_value(pk: CyclicPublicKey, rng: random.Random) -> int:
@@ -385,6 +401,53 @@ def random_nonkernel_value(pk: CyclicPublicKey, rng: random.Random) -> int:
     return pow(s, pk.m, pk.n) * pk.transversal[e] % pk.n
 
 
+def _draw_phi_witness(factors: tuple[CyclicPublicKey, ...], steps: int,
+                      rng: random.Random, pending: list[list[int]]
+                      ) -> list[tuple[int, int, bool | None]]:
+    """The draws of ``random_phi_witness``, in its order, with each x^-1
+    letter deferred: x is appended to ``pending[i-1]`` and the letter is
+    written (i, k, None), k the position of x there.  ``_invert_pending``
+    then replaces every x drawn for a factor by its inverse, at once."""
+    count = len(factors)
+    randrange = rng.randrange
+    front: list[tuple[int, int, bool | None]] = []  # reversed
+    back: list[tuple[int, int, bool | None]] = []
+    for _ in range(steps):
+        x0_choice = randrange(count + 1)  # 0 = skip
+        x_choice = randrange(count + 1)
+        if x0_choice:
+            front.append((x0_choice, random_unit(factors[x0_choice - 1].n, rng), True))
+        if x_choice:
+            v = random_nonkernel_value(factors[x_choice - 1], rng)
+            xs = pending[x_choice - 1]
+            front.append((x_choice, len(xs), None))
+            xs.append(v)
+            back.append((x_choice, v, False))
+    front.reverse()
+    front += back
+    return front
+
+
+def _invert_pending(factors: tuple[CyclicPublicKey, ...],
+                    pending: list[list[int]]) -> None:
+    """Replace each x value ``_draw_phi_witness`` deferred by its inverse,
+    in place, by Montgomery's trick (Montgomery 1987, "Speeding the Pollard
+    and elliptic curve methods of factorization"): one ``pow(., -1, n_i)``
+    for the product of factor i's values, none for an empty list, and three
+    multiplications mod n_i per further value.  Inverses are unique, so
+    each equals ``pow(x, -1, n_i)``."""
+    for pk, xs in zip(factors, pending):
+        if xs:
+            n = pk.n
+            prefix = xs[:]  # prefix[k] = xs[0] * ... * xs[k]
+            for k in range(1, len(xs)):
+                prefix[k] = prefix[k - 1] * xs[k] % n
+            inverse = pow(prefix[-1], -1, n)  # of prefix[k], k going down
+            for k in range(len(xs) - 1, 0, -1):
+                inverse, xs[k] = inverse * xs[k] % n, inverse * prefix[k - 1] % n
+            xs[0] = inverse
+
+
 def random_phi_witness(family: FactorFamily, steps: int, rng: random.Random
                        ) -> tuple[tuple[int, int, bool], ...]:
     """Grow a phi witness by ``steps`` random conjugated insertions.
@@ -393,26 +456,19 @@ def random_phi_witness(family: FactorFamily, steps: int, rng: random.Random
     letter (or skipped) and x0 a random preimage letter (or skipped).  One
     pass, linear in ``steps``: the letters each step puts before the old
     word are collected in reverse, those after it in order.  x is a unit
-    by construction, so x^-1 is ``pow(x, -1, n)``.  Equal rng states give
-    equal witnesses and leave the rng in equal states.
+    by construction; the x^-1 letters wait until every draw is made and
+    are then inverted together (``_invert_pending``), at one modular
+    inverse per factor for the whole witness.  Equal rng states give equal
+    witnesses and leave the rng in equal states.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     factors = family.factors
-    count = len(factors)
-    randrange = rng.randrange
-    front: list[tuple[int, int, bool]] = []  # reversed
-    back: list[tuple[int, int, bool]] = []
-    for _ in range(steps):
-        x0_choice = randrange(count + 1)  # 0 = skip
-        x_choice = randrange(count + 1)
-        if x0_choice:
-            front.append((x0_choice, random_unit(factors[x0_choice - 1].n, rng), True))
-        if x_choice:
-            v = random_nonkernel_value(pk := factors[x_choice - 1], rng)
-            front.append((x_choice, pow(v, -1, pk.n), False))
-            back.append((x_choice, v, False))
-    return (*reversed(front), *back)
+    pending: list[list[int]] = [[] for _ in factors]
+    drawn = _draw_phi_witness(factors, steps, rng, pending)
+    _invert_pending(factors, pending)
+    return tuple((i, pending[i - 1][v], False) if a0 is None else (i, v, a0)
+                 for i, v, a0 in drawn)
 
 
 def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]

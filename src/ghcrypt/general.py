@@ -12,6 +12,7 @@ its coset (``phi_map``) and folds the image in H (``psi_map``).
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import Error, FormatError, header, ints, records
@@ -31,6 +32,8 @@ from .freeprod import (
     FactorFamily,
     GWord,
     _coset_run,
+    _draw_phi_witness,
+    _invert_pending,
     _letters,
     _outside_group,
     _phi_letters,
@@ -59,7 +62,6 @@ __all__ = [
     "decrypt_general",
     "decrypt_general_text",
     "mult_ciphertexts_general",
-    "sample_A",
     "inverse_P_general",
     "format_general_pk",
     "parse_general_pk",
@@ -182,22 +184,11 @@ def _randomization(pk: GeneralPublicKey, phi_steps: int | None,
     return steps, length
 
 
-def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
-             phi_steps: int | None = None, psi_length: int | None = None
-             ) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple[int, int], ...]]:
-    """Sample a random kernel proof pair (a, b), the witnesses ``combined_P``
-    evaluates.
-
-    ``a`` is the phi witness of ``freeprod.random_phi_witness`` grown by
-    ``phi_steps`` conjugated insertions (default 2|H|), (factor, value,
-    is_a0) triples.  ``b`` is a psi witness of (factor, index) syllables:
-    ``psi_length`` random transversal letters (default |H|) closed off
-    with the shortest word of the inverse of their running image in H, so
-    the evaluated pair always maps to the identity of H.
-    """
+def _psi_syllables(pk: GeneralPublicKey, length: int, rng: random.Random
+                   ) -> tuple[tuple[int, int], ...]:
+    """``sample_A``'s psi witness: ``length`` random transversal syllables
+    closed off with the shortest word of the inverse of their image in H."""
     H = pk.group
-    steps, length = _randomization(pk, phi_steps, psi_length)
-    a = random_phi_witness(pk.family, steps, rng)
     factors = pk.family.factors
     randrange, table, generators = rng.randrange, H.table, pk.generators
     count = len(factors)
@@ -210,7 +201,60 @@ def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
         g = generators[i - 1]
         for _ in range(e):
             acc = table[acc][g]
-    return a, (*syllables, *pk.coordinates[H.inverse(acc)])
+    return (*syllables, *pk.coordinates[H.inverse(acc)])
+
+
+def sample_A(pk: GeneralPublicKey, rng: random.Random, *,
+             phi_steps: int | None = None, psi_length: int | None = None
+             ) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple[int, int], ...]]:
+    """Sample a random kernel proof pair (a, b), the witnesses ``combined_P``
+    evaluates.
+
+    ``a`` is the phi witness of ``freeprod.random_phi_witness`` grown by
+    ``phi_steps`` conjugated insertions (default 2|H|), (factor, value,
+    is_a0) triples, at one modular inverse per factor.  ``b`` is a psi
+    witness of (factor, index) syllables: ``psi_length`` random
+    transversal letters (default |H|) closed off with the shortest word of
+    the inverse of their running image in H, so the evaluated pair always
+    maps to the identity of H.
+    """
+    steps, length = _randomization(pk, phi_steps, psi_length)
+    a = random_phi_witness(pk.family, steps, rng)
+    return a, _psi_syllables(pk, length, rng)
+
+
+def _encrypt_words(pk: GeneralPublicKey, elements: Sequence[GroupElement],
+                   rng: random.Random, phi_steps: int | None,
+                   psi_length: int | None) -> list[GWord]:
+    """The ciphertext words of ``encrypt_general`` for a sequence of
+    elements of H, in order, from the draws it makes for each in turn.
+
+    With several factors every pair is drawn first (``sample_A``'s draws,
+    the x^-1 letters deferred), then all x values of a factor are inverted
+    at once: one modular inverse per factor for the whole sequence.  Each
+    word is then one ``normalize`` pass over its pair and the
+    representative's syllables, unchecked, since the sampled letters are
+    members by construction.  A one-factor key takes no inverse, and its
+    words come from ``encrypt_general``, one element at a time.
+    """
+    if pk.family.count == 1:
+        return [encrypt_general(pk, h, rng, phi_steps=phi_steps,
+                                psi_length=psi_length).word for h in elements]
+    for h in elements:
+        if h.group is not pk.group:
+            raise ValueError("plaintext element belongs to a different group")
+    steps, length = _randomization(pk, phi_steps, psi_length)
+    family = pk.family
+    factors = family.factors
+    # combined_P of each pair times the representative: the same word, since
+    # normal forms are unique
+    pending: list[list[int]] = [[] for _ in factors]  # x values, then inverses
+    pairs = [(_draw_phi_witness(factors, steps, rng, pending),
+              _psi_syllables(pk, length, rng)) for _ in elements]
+    _invert_pending(factors, pending)
+    return [normalize(family, _phi_letters(factors, a, pending)
+                      + _psi_letters(factors, b + pk.coordinates[h.index]))
+            for (a, b), h in zip(pairs, elements)]
 
 
 def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *,
@@ -221,16 +265,17 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
 
     ``phi_steps`` / ``psi_length`` tune the randomization size; zero for
     both gives the bare representative (useful only in tests).  With
-    several factors, ``sample_A``'s tuples and the representative's
-    syllables are evaluated into one ``normalize`` pass, unchecked.
+    several factors this is a one-element ``_encrypt_words``:
+    ``sample_A``'s pair and the representative's syllables evaluated in
+    one ``normalize`` pass, unchecked, at one modular inverse per factor.
     """
     if h.group is not pk.group:
         raise ValueError("plaintext element belongs to a different group")
     if pk.family.count == 1:
         # One factor: the kernel is the group of m-th powers, so a fresh a^m
         # is the whole random kernel word.  sample_A and the normalize pass
-        # below would reach the same kind of word at several times the cost
-        # of this product.
+        # would reach the same kind of word at several times the cost of
+        # this product.
         fpk = pk.family.public(1)
         bare = _randomization(pk, phi_steps, psi_length) == (0, 0)
         a = 1 if bare else random_unit(fpk.n, rng)
@@ -238,12 +283,7 @@ def encrypt_general(pk: GeneralPublicKey, h: GroupElement, rng: random.Random, *
         for _, e in pk.coordinates[h.index]:  # no syllable for the identity
             value = value * fpk.transversal[e] % fpk.n
         return GeneralCiphertext(normalize(pk.family, [(1, value)]))
-    # combined_P of the pair times the representative: the same word, since
-    # normal forms are unique; the sampled letters are members by construction
-    a, b = sample_A(pk, rng, phi_steps=phi_steps, psi_length=psi_length)
-    factors = pk.family.factors
-    return GeneralCiphertext(normalize(pk.family, _phi_letters(factors, a)
-                                       + _psi_letters(factors, b + pk.coordinates[h.index])))
+    return GeneralCiphertext(_encrypt_words(pk, (h,), rng, phi_steps, psi_length)[0])
 
 
 def decrypt_general(sk: GeneralSecretKey, pk: GeneralPublicKey,

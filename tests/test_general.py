@@ -8,9 +8,13 @@ from types import SimpleNamespace
 import pytest
 
 from ghcrypt import cyclic, groupcore
+from ghcrypt.barrington import GroupProgram, compile_barrington
+from ghcrypt.circuit import parse_circuit
+from ghcrypt.cyclic import factor_via_inverse_oracle
+from ghcrypt.encsim import InputAlice, encrypt_program
 from ghcrypt.errors import Error, FormatError
 from ghcrypt.freeprod import (FactorFamily, combined_P, format_gword, g_multiply,
-                               p_phi, parse_gword, phi_map, psi_map,
+                               normalize, p_phi, parse_gword, phi_map, psi_map,
                                random_phi_witness)
 from ghcrypt.general import (
     GeneralCiphertext,
@@ -244,6 +248,95 @@ class TestOnePassEncrypt:
                 assert got.word == want, (k, h.index, sizes)
                 # encryption draws exactly sample_A's numbers
                 assert encrypt_rng.random() == sample_rng.random(), (k, h.index, sizes)
+
+
+class TestOneInversePerFactor:
+    """Encryption defers the x^-1 letters of its phi witnesses and inverts
+    all the x values of a factor at once (Montgomery's trick): at most one
+    modular inverse per factor per call, however many words the call
+    makes.  A call for several elements gives the words, and leaves the rng
+    in the state, of one ``encrypt_general`` per element in turn."""
+
+    SIZES = [{"phi_steps": 4, "psi_length": 2}, {}]
+
+    @pytest.fixture(scope="class")
+    def sym5(self):
+        """A Sym(5) key (two factors) and the Barrington program of a
+        6-input OR/AND chain: the benchmark's circuit-deep shape."""
+        pk, _ = keygen_general(sym(5), 16, random.Random(261))
+        names = [f"x{k}" for k in range(1, 7)]
+        lines, acc = ["INPUTS " + " ".join(names)], names[0]
+        for k, name in enumerate(names[1:], start=1):
+            lines.append(f"g{k} = {'OR' if k % 2 else 'AND'} {acc} {name}")
+            acc = f"g{k}"
+        program = compile_barrington(
+            parse_circuit("\n".join(lines + [f"OUTPUT {acc}"]) + "\n"), pk.group)
+        assert pk.family.count == 2 and len(program) == 94
+        return pk, program
+
+    @staticmethod
+    def one_by_one(pk, elements, rng, sizes):
+        return [encrypt_general(pk, h, rng, **sizes).word for h in elements]
+
+    @pytest.mark.parametrize("sizes", SIZES + [{"phi_steps": 0, "psi_length": 2}])
+    def test_encrypt_program(self, sym5, sizes, inverse_count):
+        pk, program = sym5
+        got_rng, want_rng = random.Random(262), random.Random(262)
+        inverse_count[0] = 0
+        ep = encrypt_program(pk, program, got_rng, **sizes)
+        inverses = inverse_count[0]
+        assert inverses == (0 if sizes.get("phi_steps") == 0 else pk.family.count)
+        elements = [pk.group.element(el) for el, _ in program.instructions]
+        assert [word for word, _ in ep.instructions] == self.one_by_one(
+            pk, elements, want_rng, sizes)
+        assert [var for _, var in ep.instructions] == [
+            var for _, var in program.instructions]
+        assert got_rng.random() == want_rng.random()
+
+    def test_one_factor_program(self, z6_keys, inverse_count):
+        pk, _ = z6_keys
+        program = GroupProgram(pk.group, ((1, 0), (5, 1), (0, 2), (3, 0)), 1, 2)
+        got_rng, want_rng = random.Random(263), random.Random(263)
+        ep = encrypt_program(pk, program, got_rng)
+        assert inverse_count[0] == 0
+        elements = [pk.group.element(el) for el, _ in program.instructions]
+        assert [word for word, _ in ep.instructions] == self.one_by_one(
+            pk, elements, want_rng, {})
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("fixture", ["sym3_keys", "z6_keys"])
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_inputs_message(self, fixture, sizes, request, inverse_count):
+        pk, sk = request.getfixturevalue(fixture)
+        count = pk.family.count
+        elements = [*pk.group.elements()] * 3
+        for inputs in (elements, elements[:1], []):
+            got_rng, want_rng = random.Random(264), random.Random(264)
+            inverse_count[0] = 0
+            text = InputAlice(sk, pk, inputs, got_rng, **sizes).inputs_message()
+            assert inverse_count[0] <= (0 if count == 1 else count)
+            words = self.one_by_one(pk, inputs, want_rng, sizes)
+            assert text == "\n".join(map(format_gword, words)) + "\n"
+            assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("sizes", SIZES + [{"phi_steps": 0, "psi_length": 0}])
+    def test_each_call(self, sym5, z6_keys, sizes, inverse_count):
+        for pk, _ in (sym5, z6_keys):
+            count = pk.family.count
+            rng = random.Random(265)
+            for h in pk.group.elements():
+                inverse_count[0] = 0
+                encrypt_general(pk, h, rng, **sizes)
+                assert inverse_count[0] <= (0 if count == 1 else count), h.index
+                inverse_count[0] = 0
+                sample_A(pk, rng, **sizes)
+                assert inverse_count[0] <= count, h.index
+            for steps in (0, 1, 4, 240):
+                inverse_count[0] = 0
+                witness = random_phi_witness(pk.family, steps, rng)
+                assert inverse_count[0] <= count
+                # an inverse exactly when some step drew an x
+                assert (inverse_count[0] > 0) == any(not a0 for _, _, a0 in witness)
 
 
 class TestPublicTail:
@@ -594,6 +687,40 @@ class TestInverseP:
             word = normalize(fam, [(i, v)])
             via_inverse = inverse_P_general(sk, pk, word, rng) is not None
             assert via_inverse == is_mth_power(fsk, v)
+
+
+class TestFactoringReduction:
+    """Factoring ⇔ inversion for general keys: an oracle that inverts the
+    general system (``inverse_P_general``) factors every n_i.  Ask it for a
+    witness of the one-letter kernel word (i, a^m): G_i is abelian, so in
+    the witness's projection onto factor i each x and x^-1 cancel, and the
+    product b of the factor-i preimage letters has b^m = a^m (mod n_i).
+    ``factor_via_inverse_oracle`` takes b as its m-th root; the secret key
+    is used only inside the oracle."""
+
+    def test_inverse_P_general_factors_every_modulus(self):
+        pk, sk = keygen_general(sym(5), 32, random.Random(1))
+        oracle_rng = random.Random(271)
+
+        def root_oracle(i):
+            n = pk.family.public(i).n
+
+            def oracle(power):
+                witness = inverse_P_general(sk, pk, normalize(pk.family, [(i, power)]),
+                                            oracle_rng)
+                if witness is None:
+                    return None
+                root = 1
+                for j, v, is_a0 in witness[0]:
+                    if j == i and is_a0:
+                        root = root * v % n
+                return root
+
+            return oracle
+
+        for i, fpk in enumerate(pk.family.factors, start=1):
+            p, q = factor_via_inverse_oracle(fpk, root_oracle(i), random.Random(272 + i))
+            assert p * q == fpk.n and 1 < p < fpk.n, i
 
 
 class TestKeyFiles:
