@@ -19,6 +19,7 @@ a NOT costs no instruction of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import Error, FormatError, header, ints, records
 from .groupcore import FiniteGroup, GroupElement, builtin_group, is_solvable
@@ -78,24 +79,20 @@ class GroupProgram:
         return len(self.instructions)
 
 
-def _selected_product(p, bits, mul, identity):
-    """Left-to-right ``mul`` product, from ``identity``, of the instruction
-    values selected by bits; ``p`` is a plain or an encrypted program."""
+def _selected(p, bits) -> list:
+    """The instruction values selected by bits, in program order; ``p`` is
+    a plain or an encrypted program."""
     if len(bits) != p.input_count:
         raise ArityMismatch(
             f"expected {p.input_count} input bits, got {len(bits)}")
     extended = tuple(1 if b else 0 for b in bits) + (1,)
-    acc = identity
-    for value, var in p.instructions:
-        if extended[var]:
-            acc = mul(acc, value)
-    return acc
+    return [value for value, var in p.instructions if extended[var]]
 
 
 def eval_program(p: GroupProgram, bits) -> GroupElement:
     """Left-to-right product of the instruction elements selected by bits."""
     G = p.group
-    return G.element(_selected_product(p, bits, G.mul, G.identity))
+    return G.element(reduce(G.mul, _selected(p, bits), G.identity))
 
 
 def find_commutator_pair(H: FiniteGroup) -> tuple[GroupElement, GroupElement]:

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from .errors import Error, FormatError, header, ints, records
 from .groupcore import FiniteGroup, GroupElement
 from .circuit import ArityMismatch, Circuit
-from .barrington import GroupProgram, _selected_product, compile_barrington
-from .freeprod import GWord, empty_word, format_gword, g_inverse, g_multiply, parse_gword
+from .barrington import GroupProgram, _selected, compile_barrington
+from .freeprod import (GWord, _join, _require_same_family, format_gword, g_inverse,
+                       g_multiply, parse_gword)
 from .general import (
     GeneralCiphertext,
     GeneralPublicKey,
@@ -106,9 +107,12 @@ def encrypt_program(pk: GeneralPublicKey, p: GroupProgram, rng: random.Random, *
 
 
 def eval_encrypted(ep: EncryptedProgram, bits) -> GeneralCiphertext:
-    """Public evaluation: product of the selected ciphertext words."""
-    return GeneralCiphertext(
-        _selected_product(ep, bits, g_multiply, empty_word(ep.pk.family)))
+    """Public evaluation: one ``freeprod._join`` of the selected ciphertext
+    words, linear in their letters; ValueError for another factor family."""
+    family, words = ep.pk.family, _selected(ep, bits)
+    _require_same_family(family, words)
+    letters = _join(family.factors, [w.letters for w in words])
+    return GeneralCiphertext(GWord(family, letters))
 
 
 def _output_bit(h: GroupElement, target: GroupElement) -> int:

@@ -20,13 +20,13 @@ construction, without a check.  Words already in
 normal form never go through it again.  Their product can only merge at
 the seam, because inside each operand adjacent letters lie in distinct
 factors (the normal form theorem for free products, Lyndon and Schupp,
-*Combinatorial Group Theory*, ch. IV).  So ``g_multiply`` and the
-rotation in ``inverse_p_phi`` walk outwards from the seam while the facing
-letters share a factor: one step per cancelled pair, at most one merged
-letter, and one tuple concatenation.  A product thus costs Python work in
-the seam only; folding k words runs at most one step per cancelled pair
-overall, where re-normalizing each concatenation took one step per letter
-of every partial product (quadratic in the length of the fold).
+*Combinatorial Group Theory*, ch. IV).  ``_join``, the one product of
+such words, puts any number of them onto one list, each at its seam: one
+pop per cancelled pair, at most one merged letter, then one ``extend``.
+It is linear in the letters of all its pieces, where a left fold of
+two-word products copies the whole accumulator at every step (quadratic
+in the length of the fold).  ``g_multiply``, the rotation in
+``inverse_p_phi`` and ``encsim.eval_encrypted`` all call it.
 
 Two epimorphisms are implemented on top of the words:
 
@@ -204,37 +204,36 @@ def normalize(family: FactorFamily,
     return GWord(family, tuple(map(GLetter._make, out)))
 
 
-def _require_same_family(u: GWord, v: GWord) -> None:
-    if u.family.factors != v.family.factors:
-        raise ValueError("words belong to different factor families")
+def _require_same_family(family: FactorFamily, words: Iterable[GWord]) -> None:
+    for w in words:
+        if w.family.factors != family.factors:
+            raise ValueError("words belong to different factor families")
 
 
-def _join(factors: tuple[CyclicPublicKey, ...], left: tuple[GLetter, ...],
-          right: tuple[GLetter, ...]) -> tuple[GLetter, ...]:
-    """Normal form of ``left + right`` for two normal-form letter tuples.
-
-    Only letters facing each other across the seam can merge: a pair with
-    product 1 is dropped and the walk goes on to the next pair, any other
-    product becomes one letter and ends the walk.
-    """
-    i, j = len(left), 0
-    while i and j < len(right) and left[i - 1].factor == right[j].factor:
-        factor = right[j].factor
-        merged = left[i - 1].value * right[j].value % factors[factor - 1].n
-        i, j = i - 1, j + 1
-        if merged != 1:
-            return left[:i] + (GLetter(factor, merged),) + right[j:]
-    return left[:i] + right[j:]
+def _join(factors: tuple[CyclicPublicKey, ...],
+          pieces: Iterable[tuple[GLetter, ...]]) -> tuple[GLetter, ...]:
+    """Normal form of the concatenation of normal-form letter tuples: each
+    piece goes onto one list at its seam, where a facing pair with product
+    1 is popped and the walk goes on, and any other product becomes one
+    letter, which the piece's next letter (another factor) cannot merge
+    with.  Each letter is appended once and popped at most once."""
+    out: list[GLetter] = []
+    for piece in pieces:
+        j = 0
+        while out and j < len(piece) and out[-1].factor == piece[j].factor:
+            i, v = piece[j]
+            j += 1
+            if (merged := out.pop().value * v % factors[i - 1].n) != 1:
+                out.append(GLetter(i, merged))
+        out.extend(piece[j:])
+    return tuple(out)
 
 
 def g_multiply(u: GWord, v: GWord) -> GWord:
-    """Product of two normal-form words.
-
-    Merges only at the seam (see the module docstring): one step per
-    cancelled pair plus one concatenation, never a pass over either word.
-    """
-    _require_same_family(u, v)
-    return GWord(u.family, _join(u.family.factors, u.letters, v.letters))
+    """Product of two normal-form words by ``_join``, as a new tuple that
+    steps of the encrypted-input protocol may share."""
+    _require_same_family(u.family, (v,))
+    return GWord(u.family, _join(u.family.factors, (u.letters, v.letters)))
 
 
 def g_inverse(u: GWord) -> GWord:
@@ -486,10 +485,10 @@ def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]
     current word for its first kernel letter, rotates the remaining
     letters around it and recurses; the witness is reassembled by
     conjugation on the way out.
-    The rotation ``letters[idx+1:] + letters[:idx]`` joins two pieces of a
-    normal-form word, so it merges only at their seam, like ``g_multiply``:
-    a round costs its oracle calls plus one copy of the word.  The
-    oracle-call count is at most len(g)**2.
+    The rotation ``letters[idx+1:] + letters[:idx]`` is ``_join`` of two
+    pieces of a normal-form word, so it merges only at their seam: a round
+    costs its oracle calls plus time linear in the word.  The oracle-call
+    count is at most len(g)**2.
     """
     family = g.family
     factors = family.factors
@@ -512,8 +511,8 @@ def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]
             return (), current
         idx, factor_j, root_j = found
         frames.append((current.letters[:idx], factor_j, root_j))
-        current = GWord(family, _join(factors, current.letters[idx + 1:],
-                                      current.letters[:idx]))
+        current = GWord(family, _join(factors, (current.letters[idx + 1:],
+                                                current.letters[:idx])))
     letters: list[tuple[int, int, bool]] = []
     for prefix, factor_j, root_j in reversed(frames):
         pre = [(i, v, False) for i, v in prefix]

@@ -1,11 +1,14 @@
 import itertools
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from test_barrington import balanced_tree_text
 
-from ghcrypt.circuit import eval_circuit, parse_circuit
+from ghcrypt import encsim, freeprod
+from ghcrypt.circuit import ArityMismatch, eval_circuit, parse_circuit
 from ghcrypt.errors import Error, FormatError
 from ghcrypt.barrington import compile_barrington
 from ghcrypt.general import (
@@ -164,6 +167,79 @@ class TestEvalEncrypted:
             word = eval_encrypted(ep, bits)
             assert decrypt_output(sk, pk, word, target) == eval_circuit(c, bits)
 
+    def test_wrong_number_of_bits(self, sym5_keys):
+        pk, _ = sym5_keys
+        p = compile_barrington(fixture("and2.bc"), pk.group)
+        ep = encrypt_program(pk, p, random.Random(9), **SMALL)
+        for bits in ((), (1,), (1, 1, 1)):
+            with pytest.raises(ArityMismatch):
+                eval_encrypted(ep, bits)
+
+    def test_word_of_another_family(self, sym5_keys):
+        pk, _ = sym5_keys
+        other, _ = keygen_general(sym(5), 8, random.Random(56))
+        assert other.family.factors != pk.family.factors
+        p = compile_barrington(fixture("and2.bc"), pk.group)
+        ep = encrypt_program(pk, p, random.Random(9), **SMALL)
+        stranger = encrypt_general(other, other.group.element(1), random.Random(0),
+                                   **SMALL).word
+        (_, var), *rest = ep.instructions
+        mixed = replace(ep, instructions=((stranger, var), *rest))
+        with pytest.raises(ValueError, match="different factor families"):
+            eval_encrypted(mixed, (1, 1))
+
+
+class TestLinearEvaluation:
+    """Work-count gate: Bob's evaluation hands each selected letter to the
+    seam merge ``freeprod._join`` at most once, so it is linear in the
+    selected letters.  A left fold of two-word products would hand over the
+    accumulator at every step, quadratic in the length of the fold."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """The letter counts of the calls to ``_join``, patched in both
+        modules where its callers look it up."""
+        counts = []
+        join = freeprod._join
+
+        def counted(factors, pieces):
+            pieces = list(pieces)
+            counts.append(sum(map(len, pieces)))
+            return join(factors, pieces)
+
+        monkeypatch.setattr(freeprod, "_join", counted)
+        monkeypatch.setattr(encsim, "_join", counted)
+        return counts
+
+    @pytest.fixture(scope="class")
+    def keys(self):
+        return keygen_general(sym(5), 16, random.Random(1))
+
+    def test_depth6_tree(self, keys, handed):
+        pk, sk = keys
+        c = parse_circuit(balanced_tree_text(6, "AND", "OR"))
+        p = compile_barrington(c, pk.group)
+        assert len(p) == 4096
+        ep = encrypt_program(pk, p, random.Random(2), phi_steps=4, psi_length=2)
+        rng = random.Random(3)
+        bits = tuple(rng.randrange(2) for _ in range(c.input_count))
+        selected = sum(len(w) for w, var in ep.instructions
+                       if var == c.input_count or bits[var])
+        word = eval_encrypted(ep, bits)
+        assert 0 < sum(handed) <= selected
+        target = pk.group.element(p.target)
+        assert decrypt_output(sk, pk, word, target) == eval_circuit(c, bits)
+
+    def test_alternating_one_letter_words(self, keys, handed):
+        # an untrusted text of 40,000 one-letter words on the always-true
+        # pseudo variable, alternating between two factors: nothing merges
+        pk, _ = keys
+        r1, r2 = (pk.family.public(i).transversal[1] for i in (1, 2))
+        text = "EPROG v1 0 1\n" + f"0 1:{r1}\n0 2:{r2}\n" * 20_000
+        result = CircuitBob(pk, ()).evaluation_message(text)
+        assert 0 < sum(handed) <= 40_000
+        assert len(result.split()) == 40_000
+
 
 class TestDecryptOutput:
     def test_empty_is_zero(self, sym5_keys):
@@ -304,8 +380,8 @@ class TestProtocolCircuit:
         assert format_transcript(t1) != format_transcript(t2)
 
     def test_depth8_chain(self):
-        # 9-input OR/AND chain: 766 instructions, so Bob folds words of
-        # thousands of letters, which is only practical with seam-only products
+        # 9-input OR/AND chain: 766 instructions, whose selected words Bob
+        # merges in one pass, linear in their letters (TestLinearEvaluation)
         c = or_and_chain(9)
         keys = keygen_general(sym(5), 16, random.Random(58))
         assigned = [(1,) * 9, (0,) * 9, (1, 0, 1, 1, 0, 1, 1, 0, 1)]

@@ -197,11 +197,12 @@ class TestWordAlgebra:
 
 
 class TestSeamMerge:
-    """g_multiply and the rotation of inverse_p_phi merge only at the seam;
-    the reference is normalize over the concatenated letters."""
+    """_join, behind g_multiply, the rotation of inverse_p_phi and Bob's
+    fold, merges only at the seams; the reference is normalize over the
+    concatenated letters."""
 
-    def reference(self, family, left, right):
-        return normalize(family, left + right).letters
+    def reference(self, family, *pieces):
+        return normalize(family, [l for piece in pieces for l in piece]).letters
 
     def test_random_pairs(self, small_family):
         rng = random.Random(21)
@@ -245,7 +246,7 @@ class TestSeamMerge:
         for _ in range(500):
             g = normalize(small_family, random_raw_word(small_family, rng))
             for tail, head in self.rotations(g):
-                got = _join(small_family.factors, tail, head)
+                got = _join(small_family.factors, (tail, head))
                 assert got == self.reference(small_family, tail, head)
 
     def test_rotation_of_kernel_words(self, small_family):
@@ -256,10 +257,68 @@ class TestSeamMerge:
         for _ in range(300):
             g = p_phi(small_family, random_phi_witness(small_family, rng.randrange(1, 7), rng))
             for tail, head in self.rotations(g):
-                got = _join(small_family.factors, tail, head)
+                got = _join(small_family.factors, (tail, head))
                 assert got == self.reference(small_family, tail, head)
                 shrank += len(got) < len(tail) + len(head) - 1
         assert shrank > 50
+
+    def test_k_pieces(self, small_family):
+        # up to 8 words, an empty one among them about every other time
+        assert _join(small_family.factors, []) == ()
+        rng = random.Random(25)
+        for _ in range(1000):
+            pieces = [normalize(small_family, random_raw_word(small_family, rng, 6)).letters
+                      for _ in range(rng.randrange(9))]
+            if rng.randrange(2):
+                pieces.insert(rng.randrange(len(pieces) + 1), ())
+            got = _join(small_family.factors, pieces)
+            assert got == self.reference(small_family, *pieces)
+
+    def test_alternating_inverses_cancel_the_accumulator(self, small_family):
+        # w, w^-1, w, ...: every w^-1 pops the whole list; a product of two
+        # pieces cancelled by one inverse pops across their seam
+        rng = random.Random(26)
+        for _ in range(200):
+            w = normalize(small_family, random_raw_word(small_family, rng, 16))
+            if w.is_identity:
+                continue
+            w_inv = g_inverse(w).letters
+            for k in range(1, 8):
+                pieces = [(w.letters, w_inv)[j % 2] for j in range(k)]
+                got = _join(small_family.factors, pieces)
+                assert got == (w.letters if k % 2 else ())
+            v = normalize(small_family, random_raw_word(small_family, rng, 16))
+            both = g_inverse(g_multiply(w, v)).letters
+            assert _join(small_family.factors, (w.letters, v.letters, both)) == ()
+
+    def test_cascade_across_pieces_stops_on_merge(self, small_family):
+        # as test_cascade_stops_on_merge, with u cut into several pieces, so
+        # the walk pops letters of more than one earlier piece
+        rng = random.Random(27)
+        cascades = 0
+        for _ in range(1000):
+            u = normalize(small_family, random_raw_word(small_family, rng, 16)).letters
+            if len(u) < 3:
+                continue
+            k = rng.randrange(1, len(u) - 1)
+            facing = u[k - 1]
+            n = small_family.public(facing.factor).n
+            x = random_value(small_family, facing.factor, rng)
+            while x * facing.value % n == 1:
+                x = random_value(small_family, facing.factor, rng)
+            rest = normalize(small_family, random_raw_word(small_family, rng)).letters
+            if rest and rest[0].factor == facing.factor:
+                rest = rest[1:]
+            v = (g_inverse(GWord(small_family, u[k:])).letters
+                 + (GLetter(facing.factor, x),) + rest)
+            cuts = sorted(rng.sample(range(1, len(u)), rng.randrange(1, len(u))))
+            pieces = [u[a:b] for a, b in zip([0] + cuts, cuts + [len(u)])] + [v]
+            got = _join(small_family.factors, pieces)
+            assert got == self.reference(small_family, *pieces)
+            assert got == (u[:k - 1] + (GLetter(facing.factor, facing.value * x % n),)
+                           + rest)
+            cascades += cuts[-1] > k
+        assert cascades > 100
 
 
 class TestPhi:
