@@ -26,8 +26,8 @@ from .errors import Error, FormatError, header, ints, records
 from .groupcore import FiniteGroup, GroupElement
 from .circuit import ArityMismatch, Circuit
 from .barrington import GroupProgram, _selected, compile_barrington
-from .freeprod import (GWord, _join, _require_same_family, format_gword, g_inverse,
-                       g_multiply, parse_gword)
+from .freeprod import (GWord, _join, _require_same_family, _word, format_gword,
+                       g_inverse, g_multiply, parse_gword)
 from .general import (
     GeneralCiphertext,
     GeneralPublicKey,
@@ -147,11 +147,11 @@ def parse_encrypted_program(text: str, pk: GeneralPublicKey) -> EncryptedProgram
         raise FormatError(f"target {target} out of range")
     instructions = []
     for line in lines[1:]:
-        var_str, *word = line.split(None, 1)
+        var_str, *tokens = line.split()
         (var,) = ints([var_str], f"instruction variable {var_str!r}")
         if not 0 <= var <= input_count:
             raise FormatError(f"variable {var} out of range")
-        instructions.append((parse_gword("".join(word), pk.family), var))
+        instructions.append((_word(tokens, pk.family), var))
     return EncryptedProgram(pk=pk, instructions=tuple(instructions),
                             target=target, input_count=input_count)
 

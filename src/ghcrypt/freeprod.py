@@ -6,12 +6,16 @@ normal form: adjacent letters always belong to distinct factors, and
 identity letters are never stored, so two words are equal in the group
 exactly when they are equal as sequences.
 
-``normalize`` is the one path for raw letters (parsed text, evaluated
-witnesses, transversal words): one stack pass, linear in the input.  It
-does not check group membership: letters are checked where they enter,
-``parse_gword`` and ``p_phi`` (a caller's witness) holding each value to
-the public rule ``cyclic.in_group_G``, one Jacobi symbol mod n_i per
-even-order letter.  The key owner reads a received word with
+``normalize`` is the path for raw letters (evaluated witnesses,
+transversal words): one stack pass, linear in the input.  It does not
+check group membership: letters are checked where they enter, each value
+held to the public rule ``cyclic.in_group_G``, one Jacobi symbol mod n_i
+per even-order letter.  ``p_phi`` checks a caller's witness before it
+normalizes.  ``parse_gword`` reads a text in one pass over its tokens:
+each token is split, its factor range-checked, its value checked and only
+then merged onto the stack as ``normalize`` merges, so errors come in
+token order; ``encsim.parse_encrypted_program`` hands each line's tokens
+to the same pass.  The key owner reads a received word with
 ``general.decrypt_general_text`` instead: the same tokens, read by the same
 tokenizer, but each raw letter is checked by decrypting it, since with the
 factorization a letter decrypts exactly when it is a member.
@@ -71,7 +75,6 @@ from typing import NamedTuple
 
 from .errors import Error, FormatError, records
 from .groupcore import FiniteGroup, GroupElement
-from .numtheory import mod_inverse
 from .cyclic import (
     CyclicCiphertext,
     CyclicPublicKey,
@@ -237,11 +240,19 @@ def g_multiply(u: GWord, v: GWord) -> GWord:
 
 
 def g_inverse(u: GWord) -> GWord:
-    """Reverse the word and invert each letter; stays in normal form."""
+    """Reverse the word and invert each letter; stays in normal form.  The
+    letters of each factor are inverted in one batch (``_invert_pending``),
+    so a call takes at most one modular inverse per factor."""
+    if not u.letters:
+        return u
     factors = u.family.factors
-    inv = tuple(GLetter(l.factor, mod_inverse(l.value, factors[l.factor - 1].n))
-                for l in reversed(u.letters))
-    return GWord(u.family, inv)
+    pending: list[list[int]] = [[] for _ in factors]
+    for i, v in u.letters:
+        pending[i - 1].append(v)
+    _invert_pending(factors, pending)
+    inverses = [reversed(xs) for xs in pending]  # the last letter first
+    return GWord(u.family, tuple(GLetter(i, next(inverses[i - 1]))
+                                 for i, _ in reversed(u.letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +440,13 @@ def _draw_phi_witness(factors: tuple[CyclicPublicKey, ...], steps: int,
 
 def _invert_pending(factors: tuple[CyclicPublicKey, ...],
                     pending: list[list[int]]) -> None:
-    """Replace each x value ``_draw_phi_witness`` deferred by its inverse,
-    in place, by Montgomery's trick (Montgomery 1987, "Speeding the Pollard
-    and elliptic curve methods of factorization"): one ``pow(., -1, n_i)``
-    for the product of factor i's values, none for an empty list, and three
-    multiplications mod n_i per further value.  Inverses are unique, so
-    each equals ``pow(x, -1, n_i)``."""
+    """Replace each unit in ``pending[i-1]`` (the x values
+    ``_draw_phi_witness`` deferred, or the letters of ``g_inverse``) by its
+    inverse mod n_i, in place, by Montgomery's trick (Montgomery 1987,
+    "Speeding the Pollard and elliptic curve methods of factorization"):
+    one ``pow(., -1, n_i)`` for the product of factor i's values, none for
+    an empty list, and three multiplications mod n_i per further value.
+    Inverses are unique, so each equals ``pow(x, -1, n_i)``."""
     for pk, xs in zip(factors, pending):
         if xs:
             n = pk.n
@@ -516,7 +528,7 @@ def inverse_p_phi(g: GWord, oracle: Callable[[int, int], int | None]
     letters: list[tuple[int, int, bool]] = []
     for prefix, factor_j, root_j in reversed(frames):
         pre = [(i, v, False) for i, v in prefix]
-        post = [(i, mod_inverse(v, factors[i - 1].n), False) for i, v in reversed(prefix)]
+        post = [(i, v, False) for i, v in g_inverse(GWord(family, prefix)).letters]
         letters = pre + [(factor_j, root_j, True)] + letters + post
     return tuple(letters), empty_word(family)
 
@@ -561,17 +573,22 @@ def format_gword(w: GWord) -> str:
     return " ".join(f"{l.factor}:{l.value}" for l in w.letters)
 
 
-def _letters(text: str, family: FactorFamily) -> Iterator[tuple[int, int]]:
-    """The raw (factor, value) letters of a ``format_gword`` text, in token
-    order; none for ``e``.
+def _tokens(text: str) -> list[str]:
+    """The tokens of a ``format_gword`` text, read through
+    ``errors.records``, so it takes '#' comments and blank lines like every
+    other artifact."""
+    return [token for line in records(text) for token in line.split()]
 
-    The text is read through ``errors.records``, so it takes '#' comments
-    and blank lines like every other artifact.  FormatError for an empty
-    text, a token that is not ``factor:value`` or a factor outside the
-    family; the values are the caller's to check, letter by letter, so that
-    errors come in token order.
+
+def _letters(tokens: list[str], family: FactorFamily
+             ) -> Iterator[tuple[int, int]]:
+    """The raw (factor, value) letters of a word's tokens, in token order;
+    none for ``e``.
+
+    FormatError for no tokens, a token that is not ``factor:value`` or a
+    factor outside the family; the values are the caller's to check, letter
+    by letter as they come, so that errors come in token order.
     """
-    tokens = [token for line in records(text) for token in line.split()]
     if not tokens:
         raise FormatError("empty word encoding (use 'e' for the identity)")
     if tokens == ["e"]:
@@ -590,16 +607,34 @@ def _letters(text: str, family: FactorFamily) -> Iterator[tuple[int, int]]:
         yield factor, value
 
 
+def _word(tokens: list[str], family: FactorFamily) -> GWord:
+    """The word of ``tokens`` (see ``parse_gword``) in one pass: each raw
+    letter of ``_letters`` is held to ``cyclic.in_group_G``, else
+    LetterOutOfGroup, and then merged onto the stack the way ``normalize``
+    merges (a member lies in 1..n_i-1, so it needs no reduction)."""
+    factors = family.factors
+    out: list[tuple[int, int]] = []
+    for i, v in _letters(tokens, family):
+        pk = factors[i - 1]
+        if not in_group_G(pk, v):
+            raise _outside_group(pk, i, v)
+        if v == 1:
+            continue
+        if out and out[-1][0] == i:
+            if (merged := out.pop()[1] * v % pk.n) != 1:
+                out.append((i, merged))
+        else:
+            out.append((i, v))
+    return GWord(family, tuple(map(GLetter._make, out)))
+
+
 def parse_gword(text: str, family: FactorFamily) -> GWord:
     """Parse the ``format_gword`` encoding of a word over ``family``.
 
-    The public reader: each letter of ``_letters`` must be an element of
-    its factor group written as a residue (``cyclic.in_group_G``), else
-    LetterOutOfGroup; the letters are then normalized.
+    The public reader, one pass over the tokens: each letter must be an
+    element of its factor group written as a residue
+    (``cyclic.in_group_G``), else LetterOutOfGroup, and is checked before
+    it is merged, so two non-members whose product is a member are still
+    rejected.  Errors come in token order.
     """
-    factors = family.factors
-    raw = []
-    for i, v in _letters(text, family):
-        _check_letter(factors[i - 1], i, v)
-        raw.append((i, v))
-    return normalize(family, raw)
+    return _word(_tokens(text), family)

@@ -38,6 +38,7 @@ from .freeprod import (
     _outside_group,
     _phi_letters,
     _psi_letters,
+    _tokens,
     g_inverse,
     g_multiply,
     inverse_p_phi,
@@ -314,7 +315,7 @@ def decrypt_general_text(sk: GeneralSecretKey, pk: GeneralPublicKey,
     factors = pk.family.factors
     run = _coset_run(factors, sk.factors, pk.generators)
     runs = []
-    for i, v in _letters(text, pk.family):
+    for i, v in _letters(_tokens(text), pk.family):
         fpk = factors[i - 1]
         if not 0 < v < fpk.n:
             raise _outside_group(fpk, i, v)
@@ -416,13 +417,15 @@ def parse_general_pk(text: str) -> GeneralPublicKey:
     # the section repeats entries of the FACTOR lines, checked above, so
     # each line must be spelled exactly as format_general_pk writes it: one
     # letter per syllable of the element's word (no entry R[e], e >= 1, is
-    # 1, so transversal_word drops none)
+    # 1, so transversal_word drops none); a line is split only when it
+    # differs from that spelling, to accept other whitespace
     letters = [[f"{i}:{r}" for r in f.transversal]
                for i, f in enumerate(factors, start=1)]
     for el, entry in enumerate(entries, start=1):
-        expected = [str(el), *(letters[i - 1][e] for i, e in pk.coordinates[el])]
-        if entry.split() != expected:
-            raise FormatError(f"TRANSVERSAL line {el} is not {' '.join(expected)!r}")
+        expected = " ".join([str(el), *[letters[i - 1][e]
+                                         for i, e in pk.coordinates[el]]])
+        if entry != expected and entry.split() != expected.split():
+            raise FormatError(f"TRANSVERSAL line {el} is not {expected!r}")
     return pk
 
 

@@ -136,16 +136,55 @@ class GroupElement:
 
 
 def _order_of(rows, a: int) -> int:
-    k, acc = 1, a
-    while acc != 0:
+    """The order of a, or 0 when its powers miss 0 for len(rows) steps
+    (never in a group)."""
+    acc = a
+    for k in range(1, len(rows) + 1):
+        if acc == 0:
+            return k
         acc = rows[acc][a]
-        k += 1
-    return k
+    return 0
 
 
 def _validate_table(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Check that ``rows`` is the Cayley table of a group with identity 0;
-    returns each element's inverse and the generators Light's test checked."""
+    """Check that ``rows``, a tuple of int tuples, is the Cayley table of a
+    group with identity 0; returns each element's inverse and the
+    generators Light's test checked.
+
+    A group passes one pass: every row has length n, row 0 and column 0
+    are the identity, the greedy generators (``_generators``, from element
+    orders bounded by n steps) span every element through entries in
+    range(n), each generator's row is a permutation of range(n), and the
+    generators pass Light's test.  That pass proves the group axioms.
+    Light's test says the row of x*g is the row of x read through the row
+    of g, so by induction along the span from row 0 every row is a
+    product of generator rows: a permutation of range(n), and the table is
+    closed.  The elements g with (x*g)*y = x*(g*y) for all x, y are closed
+    under products and hold every generator, and the span writes each
+    element as such a product, so the table is associative.  With identity
+    0 and every row a permutation, every element has a right inverse, so
+    the table is a group: its columns are permutations and its inverses
+    two-sided.  Any other table fails the pass, and only then do the
+    ordered checks (``_diagnose``) run, to name its first defect.
+    """
+    n = len(rows)
+    try:
+        if ({*map(len, rows)} == {n} and rows[0] == tuple(range(n))
+                and next(zip(*rows)) == rows[0]):
+            generators = _generators(rows)
+            full = set(range(n))
+            if (generators is not None
+                    and all(set(rows[g]) == full for g in generators)
+                    and _light_failure(rows, generators) is None):
+                return tuple(row.index(0) for row in rows), generators
+    except (IndexError, TypeError):  # an entry >= n, or no int, as an index
+        pass
+    return _diagnose(rows)
+
+
+def _diagnose(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ordered checks, each with its own error: shape and range, the
+    identity, rows, columns, inverses, then Light's test."""
     n = len(rows)
     if n == 0:
         raise FormatError("empty table")
@@ -170,33 +209,49 @@ def _validate_table(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for a, b in enumerate(inverse):
         if rows[b][a] != 0:
             raise NoInverse(f"element {a} has no two-sided inverse")
-    return inverse, _check_associativity(rows)
+    generators = _generators(rows)
+    failure = _light_failure(rows, generators)
+    if failure:
+        x, g = failure
+        y = next(y for y in range(n) if rows[rows[x][g]][y] != rows[x][rows[g][y]])
+        raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+    return inverse, generators
 
 
-def _check_associativity(rows) -> tuple[int, ...]:
-    # Light's test: the elements g with (x*g)*y = x*(g*y) for all x, y are
-    # closed under products, so checking a generating set suffices.  Any
-    # set serves, so the test checks the one keys are built on (FiniteGroup.
-    # generators), and one _span call picks it for both uses.  The first
-    # generator is the element of largest order, lowest index first; after
-    # it, again and again the element outside the subgroup so far of
-    # largest odd order, and only then of largest even order, lowest index
-    # first.  A factor of odd order checks its letters without a Jacobi
-    # symbol, so Sym(5) gets orders 6 and 5.  Per generator g and element
-    # x, the row of x*g is compared with the row of x read through g's row.
+def _generators(rows) -> tuple[int, ...] | None:
+    """The generators keys are built on (FiniteGroup.generators), or None
+    when the span leaves range(n).
+
+    Any generating set serves Light's test, so one ``_span`` call picks the
+    set for both uses.  The first generator is the element of largest
+    order, lowest index first; after it, again and again the element
+    outside the subgroup so far of largest odd order, and only then of
+    largest even order, lowest index first.  A factor of odd order checks
+    its letters without a Jacobi symbol, so Sym(5) gets orders 6 and 5.
+    """
     n = len(rows)
     order = [_order_of(rows, a) for a in range(n)]
     by_order = sorted(range(n - 1, 0, -1), key=order.__getitem__)
     by_parity = sorted(by_order, key=lambda a: order[a] % 2)
-    generators, _ = _span(rows, by_parity + by_order[-1:])
+    generators, members = _span(rows, by_parity + by_order[-1:])
+    return tuple(generators) if members == set(range(n)) else None
+
+
+def _light_failure(rows, generators) -> tuple[int, int] | None:
+    """The first (x, g) that fails Light's test, or None.
+
+    Light's test (Clifford and Preston 1961): the elements g with
+    (x*g)*y = x*(g*y) for all x, y are closed under products, so checking
+    a generating set suffices.  Per generator g and element x, the row of
+    x*g is compared with the row of x read through g's row, which must be
+    a permutation of range(n).
+    """
     for g in generators:
         through_g = operator.itemgetter(*rows[g])
-        for x in range(n):
+        for x in range(len(rows)):
             if rows[rows[x][g]] != through_g(rows[x]):
-                y = next(y for y in range(n)
-                         if rows[rows[x][g]][y] != rows[x][rows[g][y]])
-                raise NotAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
-    return tuple(generators)
+                return x, g
+    return None
 
 
 @functools.cache

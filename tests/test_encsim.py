@@ -17,7 +17,7 @@ from ghcrypt.general import (
     encrypt_general,
     keygen_general,
 )
-from ghcrypt.freeprod import format_gword, g_inverse, parse_gword
+from ghcrypt.freeprod import LetterOutOfGroup, format_gword, g_inverse, parse_gword
 from ghcrypt.groupcore import sym
 from ghcrypt.encsim import (
     CircuitAlice,
@@ -531,3 +531,44 @@ class TestEncryptedProgramFiles:
             parse_encrypted_program("EPROG v1 2 1\n9 e\n", pk)
         with pytest.raises(FormatError):
             parse_encrypted_program("EPROG v1 -1 1\n", pk)  # negative input count
+
+    # the fields of each line are read in order: the variable, then each
+    # token (its spelling, its factor, its membership) before the next
+    OUTSIDE = "0 is not an element of G({n}, {m}) within 1..{top} (factor 1)"
+
+    @pytest.mark.parametrize("body,error,message", [
+        ("x e", FormatError, "non-integer instruction variable 'x'"),
+        ("x 1:zz", FormatError, "non-integer instruction variable 'x'"),
+        ("1.0 e", FormatError, "non-integer instruction variable '1.0'"),
+        ("-1 e", FormatError, "variable -1 out of range"),
+        ("3 1:zz", FormatError, "variable 3 out of range"),
+        ("1", FormatError, "empty word encoding (use 'e' for the identity)"),
+        ("1 # 1:1", FormatError, "empty word encoding (use 'e' for the identity)"),
+        ("1 1:zz 1:0", FormatError, "bad word token '1:zz'"),
+        ("1 1:0 1:zz", LetterOutOfGroup, OUTSIDE),
+        ("1 3:5 1:0", FormatError, "factor 3 out of range 1..2"),
+        ("1 1:0 3:5", LetterOutOfGroup, OUTSIDE),
+        ("1 0:5", FormatError, "factor 0 out of range 1..2"),
+        ("1 15", FormatError, "bad word token '15'"),
+        ("1 1:1:1", FormatError, "bad word token '1:1:1'"),
+        ("1 e 1:1", FormatError, "bad word token 'e'"),
+        ("1\t1:0\t# 1:zz", LetterOutOfGroup, OUTSIDE),
+        ("2 e\n1 1:zz\nx e", FormatError, "bad word token '1:zz'"),
+    ])
+    def test_first_error_in_field_order(self, sym5_keys, body, error, message):
+        pk, _ = sym5_keys
+        factor = pk.family.public(1)
+        message = message.format(n=factor.n, m=factor.m, top=factor.n - 1)
+        with pytest.raises(error) as info:
+            parse_encrypted_program(f"EPROG v1 2 1\n{body}\n", pk)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_tabs_and_comments_inside_lines(self, sym5_keys):
+        pk, _ = sym5_keys
+        p = compile_barrington(fixture("and2.bc"), pk.group)
+        ep = encrypt_program(pk, p, random.Random(11), **SMALL)
+        head, *body = format_encrypted_program(ep).splitlines()
+        spaced = [head + "  # header"] + [
+            "\t" + line.replace(" ", " \t ") + "\t# 9:9 x" + "\n  # 1:zz" for line in body]
+        again = parse_encrypted_program("\n".join(spaced) + "\n", pk)
+        assert again.instructions == ep.instructions

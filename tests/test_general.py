@@ -13,9 +13,9 @@ from ghcrypt.circuit import parse_circuit
 from ghcrypt.cyclic import factor_via_inverse_oracle
 from ghcrypt.encsim import InputAlice, encrypt_program
 from ghcrypt.errors import Error, FormatError
-from ghcrypt.freeprod import (FactorFamily, combined_P, format_gword, g_multiply,
-                               normalize, p_phi, parse_gword, phi_map, psi_map,
-                               random_phi_witness)
+from ghcrypt.freeprod import (FactorFamily, combined_P, format_gword, g_inverse,
+                               g_multiply, normalize, p_phi, parse_gword, phi_map,
+                               psi_map, random_phi_witness)
 from ghcrypt.general import (
     GeneralCiphertext,
     GeneralPublicKey,
@@ -337,6 +337,25 @@ class TestOneInversePerFactor:
                 assert inverse_count[0] <= count
                 # an inverse exactly when some step drew an x
                 assert (inverse_count[0] > 0) == any(not a0 for _, _, a0 in witness)
+
+    def test_g_inverse(self, sym5, z6_keys, inverse_count):
+        """An INV of a k-letter word takes at most one inverse per factor,
+        none for the empty word, and inverts each letter on its own terms."""
+        for pk, _ in (sym5, z6_keys):
+            count, rng = pk.family.count, random.Random(266)
+            words = [encrypt_general(pk, h, rng, phi_steps=4, psi_length=2).word
+                     for h in pk.group.elements()]
+            words.append(g_multiply(words[-1], words[-2]))
+            # a one-factor key's words have at most one letter
+            assert max(map(len, words)) > (4 * count if count > 1 else 0)
+            for word in words:
+                inverse_count[0] = 0
+                inverse = g_inverse(word)
+                assert inverse_count[0] <= (1 if word.letters else 0) * count
+                assert inverse.letters == tuple(
+                    (i, pow(v, -1, pk.family.public(i).n))
+                    for i, v in reversed(word.letters))
+                assert g_multiply(word, inverse).is_identity
 
 
 class TestPublicTail:

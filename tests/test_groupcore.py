@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from ghcrypt import groupcore
-from ghcrypt.errors import FormatError
+from ghcrypt.errors import Error, FormatError
 from ghcrypt.groupcore import (
     FiniteGroup,
     NoIdentity,
@@ -213,6 +213,84 @@ class TestLightAssociativity:
             assert got == want, rows
             verdicts.add(got)
         assert verdicts == {True, False}
+
+
+class TestOnePassValidation:
+    """``_validate_table`` accepts a group by one pass and hands every other
+    table to the ordered checks (``_diagnose``) to name its defect: on a
+    seeded corpus of perturbed tables both give the same inverses and
+    generators, or the same error class and message, and no other error
+    escapes."""
+
+    @staticmethod
+    def outcome(check, rows):
+        try:
+            return check(rows)
+        except Error as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def perturbed(table, rng):
+        """The table with one defect drawn at random (entries of row a
+        are drawn from the row as it stands, which may be short)."""
+        n = len(table)
+        rows = [list(row) for row in table]
+        kind = rng.randrange(7)
+        a = rng.randrange(n)
+        b, c = (rng.randrange(max(len(rows[a]), 1)) for _ in range(2))
+        if not rows[a]:
+            kind = 2
+        if kind == 0:  # a changed entry
+            rows[a][b] = rng.randrange(n)
+        elif kind == 1:  # two entries of a row swapped
+            rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
+        elif kind == 2:  # two rows swapped
+            rows[a], rows[b] = rows[b], rows[a]
+        elif kind == 3:  # two values swapped throughout
+            rows = [[b if v == a else a if v == b else v for v in row] for row in rows]
+        elif kind == 4:  # a short row
+            del rows[a][b:]
+        elif kind == 5:  # an entry >= n
+            rows[a][b] = n + rng.randrange(3)
+        else:  # a negative entry, half the time the alias v - n of v
+            rows[a][b] = rows[a][b] - n if rng.randrange(2) else -rng.randrange(1, n + 1)
+        return tuple(map(tuple, rows))
+
+    def test_same_outcome_as_the_ordered_checks(self):
+        from ghcrypt.groupcore import _diagnose, _validate_table
+        rng = random.Random(2028)
+        klein = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
+        groups = [sym(k).table for k in range(1, 5)]
+        groups += [cyclic_group(m).table for m in range(1, 13)]
+        groups += [klein, relabeled(sym(3).table, rng), relabeled(klein, rng)]
+        tables = [tuple(map(tuple, t)) for t in (NONASSOC_LOOP, ONESIDED_LOOP)]
+        # every row a permutation, column 1 repeats: the pinned case
+        tables.append(((0, 1, 2), (1, 2, 0), (2, 1, 0)))
+        # a bad entry outside row and column 0: changed, out of range, or
+        # the negative alias v - n of the right value v, which Python
+        # indexing would read as v
+        for table in (cyclic_group(4).table, sym(3).table):
+            n = len(table)
+            for i, j in itertools.product(range(1, n), repeat=2):
+                for bad in (table[i][j] - n, n, (table[i][j] + 1) % n):
+                    rows = [list(row) for row in table]
+                    rows[i][j] = bad
+                    tables.append(tuple(map(tuple, rows)))
+        tables += [random_loop(n, rng) for n in range(3, 7) for _ in range(5)]
+        tables += [swap_intercalate(relabeled(sym(3).table, rng), rng) for _ in range(5)]
+        tables += groups
+        for _ in range(2000):
+            table = rng.choice(groups)
+            for _ in range(rng.choice((1, 1, 2))):
+                table = self.perturbed(table, rng)
+            tables.append(table)
+        kinds = set()
+        for rows in tables:
+            got = self.outcome(_validate_table, rows)
+            assert got == self.outcome(_diagnose, rows), rows
+            kinds.add(got[0] if isinstance(got[0], type) else "group")
+        assert kinds == {"group", FormatError, NoIdentity, NotLatinSquare,
+                         NoInverse, NotAssociative}
 
 
 class TestSym:
