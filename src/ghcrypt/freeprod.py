@@ -6,16 +6,16 @@ normal form: adjacent letters always belong to distinct factors, and
 identity letters are never stored, so two words are equal in the group
 exactly when they are equal as sequences.
 
-``normalize`` is the path for raw letters (evaluated witnesses,
-transversal words): one stack pass, linear in the input.  It does not
-check group membership: letters are checked where they enter, each value
-held to the public rule ``cyclic.in_group_G``, one Jacobi symbol mod n_i
-per even-order letter.  ``p_phi`` checks a caller's witness before it
-normalizes.  ``parse_gword`` reads a text in one pass over its tokens:
-each token is split, its factor range-checked, its value checked and only
-then merged onto the stack as ``normalize`` merges, so errors come in
-token order; ``encsim.parse_encrypted_program`` hands each line's tokens
-to the same pass.  The key owner reads a received word with
+``normalize`` is the one path for raw letters (parsed text, evaluated
+witnesses, transversal words): one stack pass, linear in the input.  It
+does not check group membership: letters are checked where they enter,
+``parse_gword`` and ``p_phi`` (a caller's witness) holding each value to
+the public rule ``cyclic.in_group_G``, one Jacobi symbol mod n_i per
+even-order letter.  ``parse_gword`` reads a text in one pass over its
+tokens, each split, range-checked and held to ``in_group_G`` as it comes,
+so errors come in token order, and normalizes the checked letters;
+``encsim.parse_encrypted_program`` hands each line's tokens to the same
+reader.  The key owner reads a received word with
 ``general.decrypt_general_text`` instead: the same tokens, read by the same
 tokenizer, but each raw letter is checked by decrypting it, since with the
 factorization a letter decrypts exactly when it is a member.
@@ -242,7 +242,10 @@ def g_multiply(u: GWord, v: GWord) -> GWord:
 def g_inverse(u: GWord) -> GWord:
     """Reverse the word and invert each letter; stays in normal form.  The
     letters of each factor are inverted in one batch (``_invert_pending``),
-    so a call takes at most one modular inverse per factor."""
+    so a call takes at most one modular inverse per factor.  The empty
+    word, which each root extraction inverts twice, is returned as it is:
+    building the batch for it made a Sym(5) root extraction about a
+    seventh slower."""
     if not u.letters:
         return u
     factors = u.family.factors
@@ -608,33 +611,24 @@ def _letters(tokens: list[str], family: FactorFamily
 
 
 def _word(tokens: list[str], family: FactorFamily) -> GWord:
-    """The word of ``tokens`` (see ``parse_gword``) in one pass: each raw
-    letter of ``_letters`` is held to ``cyclic.in_group_G``, else
-    LetterOutOfGroup, and then merged onto the stack the way ``normalize``
-    merges (a member lies in 1..n_i-1, so it needs no reduction)."""
+    """The word of ``tokens`` (see ``parse_gword``): each raw letter is
+    checked as ``_letters`` reads it, and the checked letters are then
+    normalized."""
     factors = family.factors
-    out: list[tuple[int, int]] = []
+    raw = []
     for i, v in _letters(tokens, family):
-        pk = factors[i - 1]
-        if not in_group_G(pk, v):
-            raise _outside_group(pk, i, v)
-        if v == 1:
-            continue
-        if out and out[-1][0] == i:
-            if (merged := out.pop()[1] * v % pk.n) != 1:
-                out.append((i, merged))
-        else:
-            out.append((i, v))
-    return GWord(family, tuple(map(GLetter._make, out)))
+        _check_letter(factors[i - 1], i, v)
+        raw.append((i, v))
+    return normalize(family, raw)
 
 
 def parse_gword(text: str, family: FactorFamily) -> GWord:
     """Parse the ``format_gword`` encoding of a word over ``family``.
 
-    The public reader, one pass over the tokens: each letter must be an
-    element of its factor group written as a residue
-    (``cyclic.in_group_G``), else LetterOutOfGroup, and is checked before
-    it is merged, so two non-members whose product is a member are still
-    rejected.  Errors come in token order.
+    The public reader: each letter of ``_letters`` must be an element of
+    its factor group written as a residue (``cyclic.in_group_G``), else
+    LetterOutOfGroup; the letters are then normalized, so two non-members
+    whose product is a member are still rejected.  Errors come in token
+    order.
     """
     return _word(_tokens(text), family)
