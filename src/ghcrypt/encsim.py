@@ -193,6 +193,11 @@ class GroupCircuit:
 # can double a word, so a short text asks for exponential work; a product
 # of two words within the cap has at most twice its letters.
 WORD_CAP = 1 << 16
+# The most letters all the values Bob's group circuit produces (MUL, INV
+# and CONST results) may have together: every value is kept, since any
+# later line may name it, so a text of many lines within the word cap
+# would still ask for memory and time in proportion to its lines.
+LETTER_BUDGET = 1 << 20
 
 
 def _run_steps(circ: GroupCircuit, inputs, const, mul, inv):
@@ -392,23 +397,35 @@ class InputBob:
 
     def evaluation_message(self, inputs_text: str) -> str:
         """Bob's circuit over Alice's words, constants encrypted in step order;
-        Error as soon as a product passes ``WORD_CAP`` letters."""
+        Error as soon as a product passes ``WORD_CAP`` letters, or the values
+        produced pass ``LETTER_BUDGET`` letters together."""
         pk = self.pk
         words = [parse_gword(line, pk.family)
                  for line in inputs_text.strip().splitlines()]
+        produced = 0
+
+        def spend(word: GWord) -> GWord:
+            nonlocal produced
+            produced += len(word)
+            if produced > LETTER_BUDGET:
+                raise Error(f"group circuit values pass {LETTER_BUDGET} letters")
+            return word
 
         def const(index: int) -> GWord:
-            return encrypt_general(pk, pk.group.element(index), self.rng,
-                                   phi_steps=self.phi_steps,
-                                   psi_length=self.psi_length).word
+            return spend(encrypt_general(pk, pk.group.element(index), self.rng,
+                                         phi_steps=self.phi_steps,
+                                         psi_length=self.psi_length).word)
 
         def mul(u: GWord, v: GWord) -> GWord:
             product = g_multiply(u, v)
             if len(product) > WORD_CAP:
                 raise Error(f"group circuit word passes {WORD_CAP} letters")
-            return product
+            return spend(product)
 
-        result = _run_steps(self.circ, words, const, mul, g_inverse)
+        def inv(u: GWord) -> GWord:
+            return spend(g_inverse(u))
+
+        result = _run_steps(self.circ, words, const, mul, inv)
         return format_gword(result) + "\n"
 
 

@@ -4,6 +4,10 @@ Element 0 is always the identity.  The composition convention for
 permutation groups is "apply the left operand first": ``mul(a, b)`` means
 *do a, then b*.  Barrington programs and the word calculus both depend on
 this convention, so it is fixed here once and documented in the README.
+
+A table file is read from the few rows that generate it: the other rows
+are predicted and taken when the line is their canonical spelling, any
+other line is read, and validation is unchanged (``read_group``).
 """
 
 from __future__ import annotations
@@ -384,7 +388,9 @@ def permutation_label(perm) -> str:
 def format_group(G: FiniteGroup) -> str:
     """Serialize a group table: 'GROUP v1 <order>', rows, LABELS section."""
     # one list lookup per entry, the writer's twin of read_group's
-    # ``spelled`` (a str() per entry made a Sym(5) table 2.8 times slower)
+    # ``names`` and ``spelled`` (a str() per entry made a Sym(5) table 2.8
+    # times slower); read_group takes a predicted row when its line is
+    # spelled exactly so
     spelling = [str(x) for x in range(G.order)].__getitem__
     lines = [f"GROUP v1 {G.order}"]
     lines.extend(" ".join(map(spelling, row)) for row in G.table)
@@ -397,7 +403,12 @@ def read_group(lines: list[str], start: int = 0, name: str = "custom", *,
                last: bool = False) -> tuple[FiniteGroup, int]:
     """Read the group whose records (the format of :func:`format_group`)
     begin at ``lines[start]``; returns it and the index of the record after
-    it.  With ``last`` nothing may follow the group."""
+    it.  With ``last`` nothing may follow the group.
+
+    Rows are predicted from a generating set (``_predicted_rows``), and a
+    predicted row is taken only when its canonical spelling is the line;
+    any other line is read, in row order.  So the table, and every error,
+    is that of a full parse, and ``FiniteGroup`` validates it as before."""
     (order,) = ints(header(lines[start:start + 1], "GROUP v1", 1), "group order")
     if order < 1:
         raise FormatError("group order must be positive")
@@ -407,13 +418,17 @@ def read_group(lines: list[str], start: int = 0, name: str = "custom", *,
     # each entry through its canonical spelling, one C-level map per row
     # (int() per token made a Sym(5) key parse a quarter slower); a row
     # spelled otherwise ("03", "+3") is read by ints
-    spelled = {str(x): x for x in range(order)}.__getitem__
-    table = []
-    for i in range(start + 1, end):
-        try:
-            table.append(tuple(map(spelled, lines[i].split())))
-        except KeyError:
-            table.append(ints(lines[i].split(), f"table row {i - start - 1}"))
+    names = [str(x) for x in range(order)]
+    spelled = dict(zip(names, range(order))).__getitem__
+    rows = lines[start + 1:end]
+    table, texts = _predicted_rows(rows, names, spelled)
+    for i, line in enumerate(rows):
+        if texts[i] != line:
+            tokens = line.split()
+            try:
+                table[i] = _read_row(tokens, spelled)
+            except KeyError:
+                table[i] = ints(tokens, f"table row {i}")
     labels = None
     if end < len(lines) and lines[end] == "LABELS":
         labels = lines[end + 1:end + 1 + order]
@@ -423,6 +438,70 @@ def read_group(lines: list[str], start: int = 0, name: str = "custom", *,
     if last and end < len(lines):
         raise FormatError(f"unexpected content {lines[end]!r} after table")
     return FiniteGroup(table, labels=labels, name=name), end
+
+
+def _read_row(tokens: list[str], spelled) -> tuple[int, ...]:
+    """One table row from its tokens; KeyError for a token that is not
+    the canonical spelling of an element."""
+    return tuple(map(spelled, tokens))
+
+
+def _predicted_rows(lines: list[str], names: list[str], spelled
+                    ) -> tuple[list, list]:
+    """The rows of the table whose lines are ``lines``, as far as a few of
+    them predict the others, and the text each row was read from or is
+    predicted to have (None where a row is not known).
+
+    Row 0 is predicted to be the identity.  Then, again and again, the
+    lowest row not yet known is read, and the known rows are closed under
+    the rows read: the row of x*g is the row of x read through the row of
+    g, one ``itemgetter`` per row read, applied to the row's ints and to
+    its canonical tokens alike.  In a group the known rows are a subgroup,
+    so each row read at least doubles them and at most ceil(log2 n) rows
+    are read; a row read that does not double them, one that is not
+    canonical (KeyError) or one not of length n stops the prediction.
+    Nothing here raises a domain error and nothing is checked: a wrong
+    prediction only means that its line is read.
+    """
+    n = len(lines)
+    table: list = [None] * n
+    spellings: list = [None] * n
+    table[0], spellings[0] = tuple(range(n)), names
+    members: list[int] = [0]
+    through: list = []  # (g, the row of g as an itemgetter), per row read
+    try:
+        for g in range(1, n):
+            if table[g] is not None:
+                continue
+            tokens = lines[g].split()
+            row = _read_row(tokens, spelled)
+            if len(row) != n:
+                break
+            table[g], spellings[g] = row, tokens
+            through.append((g, operator.itemgetter(*row)))
+            # the members so far times g, each new member times every row
+            # read: each (member, row read) pair is looked at once
+            last = through[-1:]
+            pending = [(x, last) for x in members]
+            pending.append((g, through))
+            known = len(members)
+            members.append(g)
+            while pending:
+                x, by = pending.pop()
+                for h, get in by:
+                    y = table[x][h]
+                    if table[y] is None:
+                        table[y], spellings[y] = get(table[x]), get(spellings[x])
+                        members.append(y)
+                        pending.append((y, through))
+            if len(members) < 2 * known:
+                break
+    except KeyError:
+        pass
+    texts = [None if s is None else " ".join(s) for s in spellings]
+    for g, _ in through:
+        texts[g] = lines[g]
+    return table, texts
 
 
 def parse_group(text: str, name: str = "custom") -> FiniteGroup:

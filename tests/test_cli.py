@@ -250,6 +250,21 @@ class TestProtocols:
         assert rc == 1 and out == ""
         assert err.startswith("error: group circuit word passes"), err
 
+    def test_protocol_input_letter_budget(self, sym3_dir, tmp_path, capsys):
+        # 800 lines, each a product within the word cap: a domain error at
+        # the letter budget, not hundreds of megabytes of kept words
+        gc = tmp_path / "budget.gcirc"
+        gc.write_text("GCIRC v1\nINPUTS s0\n" + "".join(
+            f"s{k + 1} = MUL s{k} s{k}\n" for k in range(13)) + "".join(
+            f"z{j} = MUL s13 s13\n" for j in range(800)) + "OUTPUT z799\n")
+        rc, out, err = run(capsys, "protocol", "input",
+                           "--pk", str(sym3_dir / "pk.txt"),
+                           "--sk", str(sym3_dir / "sk.txt"),
+                           "--gcircuit", str(gc), "--inputs", "(1 2)", "--seed", "c",
+                           "--phi-steps", "4", "--psi-length", "2")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: group circuit values pass"), err
+
     def test_missing_args(self, sym3_dir, capsys):
         rc, _, err = run(capsys, "protocol", "circuit",
                          "--pk", str(sym3_dir / "pk.txt"),

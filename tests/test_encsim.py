@@ -17,7 +17,8 @@ from ghcrypt.general import (
     encrypt_general,
     keygen_general,
 )
-from ghcrypt.freeprod import LetterOutOfGroup, format_gword, g_inverse, parse_gword
+from ghcrypt.freeprod import (LetterOutOfGroup, format_gword, g_inverse, g_multiply,
+                              parse_gword)
 from ghcrypt.groupcore import sym
 from ghcrypt.encsim import (
     CircuitAlice,
@@ -30,6 +31,7 @@ from ghcrypt.encsim import (
     GroupMismatch,
     InputAlice,
     InputBob,
+    LETTER_BUDGET,
     UnexpectedValue,
     WORD_CAP,
     decrypt_output,
@@ -78,6 +80,12 @@ SMALL = dict(phi_steps=3, psi_length=2)
 # a group circuit of 64 MUL lines, each squaring the line before
 SQUARINGS = "GCIRC v1\nINPUTS w0\n" + "".join(
     f"w{k + 1} = MUL w{k} w{k}\n" for k in range(64)) + "OUTPUT w64\n"
+
+# 13 squarings of a 4-letter word reach 32,768 letters; then 800 lines each
+# keep a new product of 65,536 letters, within the word cap
+BUDGET_LINES = "GCIRC v1\nINPUTS s0\n" + "".join(
+    f"s{k + 1} = MUL s{k} s{k}\n" for k in range(13)) + "".join(
+    f"z{j} = MUL s13 s13\n" for j in range(800)) + "OUTPUT z799\n"
 
 
 def or_and_chain(inputs):
@@ -312,6 +320,29 @@ class TestGroupCircuits:
         with pytest.raises(Error, match=f"group circuit word passes {WORD_CAP} letters"):
             bob.evaluation_message(text)
         assert time.perf_counter() - start < 1
+
+    def test_many_lines_stop_at_the_letter_budget(self, monkeypatch):
+        # 800 products of 65,536 letters would keep 52M letters
+        pk, sk = keygen_general(sym(5), 16, random.Random(1))
+        text = InputAlice(sk, pk, (pk.group.element(3),), random.Random("budget:g"),
+                          phi_steps=4, psi_length=2).inputs_message()
+        assert len(parse_gword(text, pk.family)) == 4
+        produced = []
+
+        def counting_multiply(u, v):
+            product = g_multiply(u, v)
+            produced.append(len(product))
+            return product
+
+        monkeypatch.setattr(encsim, "g_multiply", counting_multiply)
+        bob = InputBob(pk, parse_group_circuit(BUDGET_LINES, pk.group),
+                       random.Random("budget:b"))
+        with pytest.raises(Error, match=f"group circuit values pass {LETTER_BUDGET} letters"):
+            bob.evaluation_message(text)
+        # every product within the word cap; the values kept within the
+        # budget, and the one that passes it is not kept
+        assert max(produced) == WORD_CAP
+        assert sum(produced[:-1]) <= LETTER_BUDGET < sum(produced)
 
     def bob_eval(self, pk, circ, words, rng):
         """Bob's evaluation over words, the circuit lifted to ciphertexts."""

@@ -2,11 +2,12 @@ import itertools
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from ghcrypt import groupcore
-from ghcrypt.errors import Error, FormatError
+from ghcrypt.errors import Error, FormatError, ints, records
 from ghcrypt.groupcore import (
     FiniteGroup,
     NoIdentity,
@@ -19,8 +20,11 @@ from ghcrypt.groupcore import (
     format_group,
     is_solvable,
     parse_group,
+    read_group,
     sym,
 )
+
+DATA = Path(__file__).parent / "data"
 
 Z2_TABLE = [[0, 1], [1, 0]]
 
@@ -291,6 +295,127 @@ class TestOnePassValidation:
             kinds.add(got[0] if isinstance(got[0], type) else "group")
         assert kinds == {"group", FormatError, NoIdentity, NotLatinSquare,
                          NoInverse, NotAssociative}
+
+
+class TestPredictedRows:
+    """``read_group`` reads a few rows token by token, predicts the others
+    from them and takes a predicted row only when the line is its
+    canonical spelling: on seeded perturbed texts it gives the same table
+    and generators, or the same error class and message, as a reader of
+    every row."""
+
+    @staticmethod
+    def full_parse(rows):
+        """Every row through its canonical spellings, else through ints,
+        then FiniteGroup."""
+        spelled = {str(x): x for x in range(len(rows))}.__getitem__
+        table = []
+        for i, line in enumerate(rows):
+            try:
+                table.append(tuple(map(spelled, line.split())))
+            except KeyError:
+                table.append(ints(line.split(), f"table row {i}"))
+        return FiniteGroup(table)
+
+    @staticmethod
+    def outcome(read):
+        try:
+            G = read()
+        except Error as exc:
+            return type(exc), str(exc)
+        return G.table, G.generators
+
+    @staticmethod
+    def rows_read(table):
+        # the rows read for a group: again and again the lowest element
+        # outside the subgroup so far
+        from ghcrypt.groupcore import _span
+        return _span(table, range(len(table) - 1, 0, -1))[0]
+
+    @staticmethod
+    def perturbed(rows, row, rng):
+        """The lines with one defect drawn at random in line ``row``."""
+        n = len(rows)
+        rows = list(rows)
+        tokens = rows[row].split()
+        b = rng.randrange(len(tokens))
+        kind = rng.randrange(7)
+        if kind == 0:  # a changed entry
+            tokens[b] = str(rng.randrange(n))
+        elif kind == 1:  # another spelling of the same entry
+            tokens[b] = rng.choice(("0", "+")) + tokens[b]
+        elif kind == 2:  # an entry >= n
+            tokens[b] = str(n + rng.randrange(3))
+        elif kind == 3:  # a non-integer token
+            tokens[b] = "x"
+        elif kind == 4:  # a short row (records() drops an empty one)
+            del tokens[max(b, 1):]
+        elif kind == 5:  # two rows swapped
+            other = rng.randrange(n)
+            rows[row], rows[other] = rows[other], rows[row]
+            return rows
+        rows[row] = ("\t" if kind == 6 else " ").join(tokens)
+        return rows
+
+    def test_same_outcome_as_reading_every_row(self):
+        rng = random.Random(2029)
+        tables = [G.table for G in [sym(k) for k in range(1, 6)]
+                  + [cyclic_group(m) for m in (2, 5, 8, 12, 64)]]
+        # loops, whose rows the rows read predict wrongly
+        tables += [NONASSOC_LOOP, ONESIDED_LOOP]
+        cases = [[" ".join(map(str, row)) for row in table] for table in tables]
+        cases.append(records((DATA / "sym3_all_elements_pk.txt").read_text())[2:8])
+        texts = []
+        for rows in cases:
+            n = len(rows)
+            read = self.rows_read([tuple(map(int, row.split())) for row in rows])
+            predicted = [i for i in range(n) if i not in read]
+            texts.append(rows)
+            for _ in range(60 if n > 1 else 4):
+                bad = rows
+                for _ in range(rng.choice((1, 1, 2))):
+                    row = rng.choice(read if read and rng.randrange(2) else predicted)
+                    bad = self.perturbed(bad, row, rng)
+                texts.append(bad)
+            # a bad entry in the first row read, and a second bad row,
+            # non-integer, out of range or short, before it
+            for first, before in itertools.product(("x", str(n)), ("y", str(n + 1), None)):
+                if n > 1:
+                    bad = [row.split() for row in rows]
+                    bad[1][-1] = first
+                    if before is None:
+                        del bad[0][-1]
+                    else:
+                        bad[0][-1] = before
+                    texts.append([" ".join(tokens) for tokens in bad])
+        kinds = set()
+        for rows in texts:
+            lines = [f"GROUP v1 {len(rows)}", *rows]
+            got = self.outcome(lambda: read_group(lines)[0])
+            assert got == self.outcome(lambda: self.full_parse(rows)), rows
+            kinds.add(got[0] if isinstance(got[0], type) else "group")
+        assert kinds == {"group", FormatError, NoIdentity, NotLatinSquare,
+                         NoInverse, NotAssociative}
+
+    def test_rows_converted(self, monkeypatch):
+        # a canonical Sym(5) text converts the rows of four generators,
+        # within ceil(log2 120) = 7; with tabs every row is converted once
+        converted = []
+        read_row = groupcore._read_row
+
+        def counting_read_row(tokens, spelled):
+            converted.append(int(tokens[0]))  # row i begins with i
+            return read_row(tokens, spelled)
+
+        monkeypatch.setattr(groupcore, "_read_row", counting_read_row)
+        G = sym(5)
+        lines = format_group(G).splitlines()
+        assert parse_group("\n".join(lines)).table == G.table
+        assert converted == [1, 2, 6, 24]
+        converted.clear()
+        lines[1:121] = [row.replace(" ", "\t") for row in lines[1:121]]
+        assert parse_group("\n".join(lines)).table == G.table
+        assert sorted(converted) == list(range(120))
 
 
 class TestSym:
